@@ -176,10 +176,10 @@ BENCHMARK(BM_RockClusterMetrics)
     ->ArgName("collect_metrics")
     ->Unit(benchmark::kMillisecond);
 
-// The three merge-engine layouts over an identical precomputed neighbor
-// graph: hashed (unordered_map oracle), flat (CSR + sorted-merge
-// relinking), parallel (AoS rows + lazy best-cleaning + sharded relink).
-// Same merge sequence, different memory traffic and rescan counts.
+// Both merge engines over an identical precomputed neighbor graph: hashed
+// (engine=0, the unordered_map oracle) and parallel (engine=1, AoS rows +
+// lazy best-cleaning + sharded relink). Same merge sequence, different
+// memory traffic and rescan counts.
 void BM_RockMergeEngine(benchmark::State& state) {
   const auto n = static_cast<size_t>(state.range(0));
   TransactionDataset local = MakeBaskets(n);
@@ -188,9 +188,8 @@ void BM_RockMergeEngine(benchmark::State& state) {
   RockOptions opt;
   opt.theta = 0.5;
   opt.num_clusters = 4;
-  opt.merge_engine = state.range(1) == 0   ? MergeEngineKind::kHashed
-                     : state.range(1) == 1 ? MergeEngineKind::kFlat
-                                           : MergeEngineKind::kParallel;
+  opt.merge_engine = state.range(1) == 0 ? MergeEngineKind::kHashed
+                                         : MergeEngineKind::kParallel;
   RockClusterer clusterer(opt);
   for (auto _ : state) {
     auto result = clusterer.ClusterGraph(*graph);
@@ -200,10 +199,8 @@ void BM_RockMergeEngine(benchmark::State& state) {
 BENCHMARK(BM_RockMergeEngine)
     ->Args({512, 0})
     ->Args({512, 1})
-    ->Args({512, 2})
     ->Args({2048, 0})
     ->Args({2048, 1})
-    ->Args({2048, 2})
     ->ArgNames({"n", "engine"})
     ->Unit(benchmark::kMillisecond);
 
@@ -278,7 +275,6 @@ void WritePerfTrajectory() {
   bench::PerfJsonWriter perf("bench_micro");
   const std::pair<MergeEngineKind, const char*> kEngines[] = {
       {MergeEngineKind::kParallel, "parallel"},
-      {MergeEngineKind::kFlat, "flat"},
       {MergeEngineKind::kHashed, "hashed"},
   };
   for (size_t n : {size_t{512}, size_t{2048}}) {

@@ -34,7 +34,6 @@
 #include "graph/neighbor_engine.h"
 #include "graph/parallel.h"
 #include "similarity/jaccard.h"
-#include "similarity/minhash.h"
 #include "synth/basket_generator.h"
 #include "synth/mushroom_generator.h"
 
@@ -75,10 +74,19 @@ BENCHMARK(BM_NeighborsExactParallel)
     ->ArgsProduct({{1000, 2000, 4000}, {2, 4, 8}})
     ->Unit(benchmark::kMillisecond);
 
+// MinHash LSH candidates + exact verification: the packed engine's kLsh
+// pass at the default 50×3 banding, serial.
+PackedNeighborOptions SerialLshPass() {
+  PackedNeighborOptions opt;
+  opt.strategy = PackedStrategy::kLsh;
+  return opt;
+}
+
 void BM_NeighborsLsh(benchmark::State& state) {
   TransactionDataset ds = MakeBaskets(static_cast<size_t>(state.range(0)));
+  TransactionJaccard sim(ds);
   for (auto _ : state) {
-    auto g = ComputeNeighborsLsh(ds, 0.5);
+    auto g = ComputeNeighborsPacked(sim, 0.5, SerialLshPass());
     benchmark::DoNotOptimize(g->NumEdges());
   }
 }
@@ -115,8 +123,9 @@ BENCHMARK(BM_NeighborsExactSerialWideTx)->Arg(1000)->Arg(2000)
 
 void BM_NeighborsLshWideTx(benchmark::State& state) {
   TransactionDataset ds = MakeWideBaskets(static_cast<size_t>(state.range(0)));
+  TransactionJaccard sim(ds);
   for (auto _ : state) {
-    auto g = ComputeNeighborsLsh(ds, 0.5);
+    auto g = ComputeNeighborsPacked(sim, 0.5, SerialLshPass());
     benchmark::DoNotOptimize(g->NumEdges());
   }
 }

@@ -4,8 +4,10 @@
 #include <deque>
 #include <fstream>
 #include <future>
+#include <initializer_list>
 #include <map>
 #include <sstream>
+#include <utility>
 
 #include "baselines/binarize.h"
 #include "baselines/centroid_hierarchical.h"
@@ -31,7 +33,6 @@
 #include "serve/stream.h"
 #include "util/failpoint.h"
 #include "similarity/jaccard.h"
-#include "similarity/minhash.h"
 #include "synth/basket_generator.h"
 #include "synth/fund_generator.h"
 #include "synth/mushroom_generator.h"
@@ -258,6 +259,119 @@ void EmitClusteringSummary(const Clustering& clustering,
   }
 }
 
+// -------------------------------------------------------- clusterer flags --
+
+// The RockOptions flags, bound once for `rock cluster`, `rock pipeline` and
+// `rock build` so all three parse them — and reject engine names — the
+// same way. A subcommand only chooses its own defaults.
+struct RockFlagValues {
+  double theta = 0.5;
+  size_t k = 2;
+  double stop_multiple = 0.0;
+  size_t min_support = 2;
+  size_t check_invariants = 0;
+  size_t threads = 1;
+  size_t graph_threads = kGraphThreadsInherit;
+  size_t row_chunk = 16;
+  size_t lsh_bands = 0;
+  size_t lsh_rows = 0;
+  size_t lsh_seed = 0x5eed;
+  std::string neighbor_engine = "packed";
+  std::string link_engine = "packed";
+  std::string merge_engine = "parallel";
+  size_t merge_threads = 1;
+};
+
+void RegisterRockFlags(FlagSet& flags, RockFlagValues* v) {
+  flags.AddDouble("theta", &v->theta, "neighbor threshold θ");
+  flags.AddSize("k", &v->k, "desired number of clusters");
+  flags.AddDouble("stop-multiple", &v->stop_multiple,
+                  "pause at stop-multiple×k clusters and weed small ones "
+                  "(0 = off)");
+  flags.AddSize("min-support", &v->min_support,
+                "minimum cluster size surviving weeding");
+  flags.AddSize("check-invariants", &v->check_invariants,
+                "validate merge bookkeeping every Nth merge (0 = off)");
+  flags.AddSize("threads", &v->threads,
+                "worker threads for the neighbor/link phases "
+                "(0 = all cores; results are identical at any count)");
+  flags.AddSize("graph-threads", &v->graph_threads,
+                "worker threads for just the neighbor/link phases "
+                "(default: follow --threads; 0 = all cores)");
+  flags.AddSize("row-chunk", &v->row_chunk,
+                "rows claimed per parallel scheduling step "
+                "(with --threads > 1)");
+  flags.AddSize("lsh-bands", &v->lsh_bands,
+                "LSH bands for --neighbor-engine=lsh|auto "
+                "(0 = auto-tune from θ)");
+  flags.AddSize("lsh-rows", &v->lsh_rows,
+                "LSH rows per band (0 = auto-tune from θ)");
+  flags.AddSize("lsh-seed", &v->lsh_seed, "LSH hash-family seed");
+  flags.AddString("neighbor-engine", &v->neighbor_engine,
+                  "packed | scalar | lsh | auto neighbor-graph engine "
+                  "(packed/scalar are exact and identical, lsh is "
+                  "precision-1 approximate, auto picks per dataset)");
+  flags.AddString("link-engine", &v->link_engine,
+                  "packed | hashed link-count engine (link rows are "
+                  "identical, packed is faster)");
+  flags.AddString("merge-engine", &v->merge_engine,
+                  "parallel | hashed merge engine (results are identical; "
+                  "hashed is the reference oracle, parallel is faster)");
+  flags.AddSize("merge-threads", &v->merge_threads,
+                "worker threads for the parallel merge engine's sharded "
+                "relink (0 = all cores; results are identical)");
+}
+
+/// Resolves an engine-name flag against its (name, kind) table. On a miss
+/// renders "unknown --<flag>" and returns false.
+template <typename Kind>
+bool ParseEngineName(const char* flag, const std::string& name,
+                     std::initializer_list<std::pair<const char*, Kind>> table,
+                     Kind* kind, std::string* out) {
+  for (const auto& [candidate, value] : table) {
+    if (name == candidate) {
+      *kind = value;
+      return true;
+    }
+  }
+  EmitStr(out, std::string("error: unknown --") + flag + " '" + name + "'\n");
+  return false;
+}
+
+/// Transfers parsed flag values into RockOptions. Returns 0, or exit code
+/// 2 after rendering an error for an unknown engine name.
+int ApplyRockFlags(const RockFlagValues& v, RockOptions* opt,
+                   std::string* out) {
+  opt->theta = v.theta;
+  opt->num_clusters = v.k;
+  opt->outlier_stop_multiple = v.stop_multiple;
+  opt->min_cluster_support = v.min_support;
+  opt->diag.invariant_check_every = v.check_invariants;
+  opt->num_threads = v.threads;
+  opt->graph_threads = v.graph_threads;
+  opt->row_chunk = v.row_chunk;
+  opt->lsh_bands = v.lsh_bands;
+  opt->lsh_rows = v.lsh_rows;
+  opt->lsh_seed = v.lsh_seed;
+  opt->merge_threads = v.merge_threads;
+  const bool known =
+      ParseEngineName("neighbor-engine", v.neighbor_engine,
+                      {{"packed", NeighborEngineKind::kPacked},
+                       {"scalar", NeighborEngineKind::kScalar},
+                       {"lsh", NeighborEngineKind::kLsh},
+                       {"auto", NeighborEngineKind::kAuto}},
+                      &opt->neighbor_engine, out) &&
+      ParseEngineName("link-engine", v.link_engine,
+                      {{"packed", LinkEngineKind::kPacked},
+                       {"hashed", LinkEngineKind::kHashed}},
+                      &opt->link_engine, out) &&
+      ParseEngineName("merge-engine", v.merge_engine,
+                      {{"parallel", MergeEngineKind::kParallel},
+                       {"hashed", MergeEngineKind::kHashed}},
+                      &opt->merge_engine, out);
+  return known ? 0 : 2;
+}
+
 // ------------------------------------------------------------ subcommands --
 
 int CmdGen(const std::vector<std::string>& args, std::string* out,
@@ -383,26 +497,11 @@ int CmdCluster(const std::vector<std::string>& args, std::string* out,
   std::string assignments_path;
   std::string json_path;
   std::string metrics_json_path;
-  double theta = 0.5;
-  size_t k = 2;
-  double stop_multiple = 0.0;
-  size_t min_support = 2;
-  size_t check_invariants = 0;
   int64_t label_column = 0;
   bool label_first = false;
   bool profiles = false;
   int64_t seed = 42;
-  size_t threads = 1;
-  size_t graph_threads = kGraphThreadsInherit;
-  size_t row_chunk = 16;
-  size_t lsh_bands = 0;
-  size_t lsh_rows = 0;
-  size_t lsh_seed = 0x5eed;
-  std::string neighbors = "exact";
-  std::string merge_engine = "parallel";
-  size_t merge_threads = 1;
-  std::string neighbor_engine = "packed";
-  std::string link_engine = "packed";
+  RockFlagValues rock;
 
   FlagSet flags;
   flags.AddString("input", &input, "input file");
@@ -417,15 +516,6 @@ int CmdCluster(const std::vector<std::string>& args, std::string* out,
                   "write a machine-readable run summary (JSON) here");
   flags.AddString("metrics-json", &metrics_json_path,
                   "write the per-stage metrics report (JSON) here (rock)");
-  flags.AddDouble("theta", &theta, "neighbor threshold θ (rock)");
-  flags.AddSize("k", &k, "desired number of clusters");
-  flags.AddDouble("stop-multiple", &stop_multiple,
-                  "pause at stop-multiple×k clusters and weed small ones "
-                  "(0 = off, rock)");
-  flags.AddSize("min-support", &min_support,
-                "minimum cluster size surviving weeding (rock)");
-  flags.AddSize("check-invariants", &check_invariants,
-                "validate merge bookkeeping every Nth merge (0 = off, rock)");
   flags.AddInt("label-column", &label_column,
                "ground-truth column in csv (-1 = none)");
   flags.AddBool("label-first", &label_first,
@@ -433,38 +523,12 @@ int CmdCluster(const std::vector<std::string>& args, std::string* out,
   flags.AddBool("profiles", &profiles,
                 "print per-cluster frequent attribute values (csv inputs)");
   flags.AddInt("seed", &seed, "seed (kmeans)");
-  flags.AddSize("threads", &threads,
-                "worker threads for neighbors/links (0 = all cores, rock)");
-  flags.AddSize("graph-threads", &graph_threads,
-                "worker threads for just the neighbor/link phases "
-                "(default: follow --threads; 0 = all cores, rock)");
-  flags.AddSize("row-chunk", &row_chunk,
-                "rows claimed per parallel scheduling step (rock, "
-                "with --threads > 1)");
-  flags.AddSize("lsh-bands", &lsh_bands,
-                "LSH bands for --neighbor-engine=lsh|auto "
-                "(0 = auto-tune from θ, rock)");
-  flags.AddSize("lsh-rows", &lsh_rows,
-                "LSH rows per band (0 = auto-tune from θ, rock)");
-  flags.AddSize("lsh-seed", &lsh_seed, "LSH hash-family seed (rock)");
-  flags.AddString("neighbors", &neighbors,
-                  "exact | lsh (MinHash-accelerated; basket/store inputs, "
-                  "rock only)");
-  flags.AddString("merge-engine", &merge_engine,
-                  "parallel | flat | hashed merge-engine layout (rock; "
-                  "results are identical, parallel is fastest)");
-  flags.AddSize("merge-threads", &merge_threads,
-                "worker threads for the parallel merge engine's sharded "
-                "relink (0 = all cores; results are identical, rock)");
-  flags.AddString("neighbor-engine", &neighbor_engine,
-                  "packed | scalar | lsh | auto neighbor-graph engine "
-                  "(rock; packed/scalar are exact and identical, lsh is "
-                  "precision-1 approximate, auto picks per dataset)");
-  flags.AddString("link-engine", &link_engine,
-                  "packed | hashed link-count engine (rock; link rows are "
-                  "identical, packed is faster)");
+  RegisterRockFlags(flags, &rock);
   if (help_only) {
-    EmitStr(out, "rock cluster — cluster a data file\n" + flags.Help());
+    EmitStr(out,
+            "rock cluster — cluster a data file (--k applies to every "
+            "--algo, the other clusterer flags to --algo=rock only)\n" +
+                flags.Help());
     return 0;
   }
   if (Status s = flags.Parse(args); !s.ok()) {
@@ -475,6 +539,8 @@ int CmdCluster(const std::vector<std::string>& args, std::string* out,
     EmitStr(out, "error: --input is required\n");
     return 2;
   }
+  RockOptions opt;
+  if (int code = ApplyRockFlags(rock, &opt, out); code != 0) return code;
 
   auto loaded = LoadInput(input, format, label_column, label_first);
   if (!loaded.ok()) {
@@ -501,69 +567,7 @@ int CmdCluster(const std::vector<std::string>& args, std::string* out,
       sim = std::make_unique<TransactionJaccard>(loaded->transactions);
     }
     if (algo == "rock") {
-      RockOptions opt;
-      opt.theta = theta;
-      opt.num_clusters = k;
-      opt.outlier_stop_multiple = stop_multiple;
-      opt.min_cluster_support = min_support;
-      opt.num_threads = threads;
-      opt.graph_threads = graph_threads;
-      opt.row_chunk = row_chunk;
-      opt.lsh_bands = lsh_bands;
-      opt.lsh_rows = lsh_rows;
-      opt.lsh_seed = lsh_seed;
-      opt.diag.invariant_check_every = check_invariants;
-      opt.merge_threads = merge_threads;
-      if (merge_engine == "parallel") {
-        opt.merge_engine = MergeEngineKind::kParallel;
-      } else if (merge_engine == "flat") {
-        opt.merge_engine = MergeEngineKind::kFlat;
-      } else if (merge_engine == "hashed") {
-        opt.merge_engine = MergeEngineKind::kHashed;
-      } else {
-        EmitStr(out, "error: unknown --merge-engine '" + merge_engine + "'\n");
-        return 2;
-      }
-      if (neighbor_engine == "packed") {
-        opt.neighbor_engine = NeighborEngineKind::kPacked;
-      } else if (neighbor_engine == "scalar") {
-        opt.neighbor_engine = NeighborEngineKind::kScalar;
-      } else if (neighbor_engine == "lsh") {
-        opt.neighbor_engine = NeighborEngineKind::kLsh;
-      } else if (neighbor_engine == "auto") {
-        opt.neighbor_engine = NeighborEngineKind::kAuto;
-      } else {
-        EmitStr(out, "error: unknown --neighbor-engine '" + neighbor_engine +
-                         "'\n");
-        return 2;
-      }
-      if (link_engine == "packed") {
-        opt.link_engine = LinkEngineKind::kPacked;
-      } else if (link_engine == "hashed") {
-        opt.link_engine = LinkEngineKind::kHashed;
-      } else {
-        EmitStr(out, "error: unknown --link-engine '" + link_engine + "'\n");
-        return 2;
-      }
-      Result<RockResult> result = Status::Internal("unreachable");
-      if (neighbors == "lsh") {
-        if (loaded->is_categorical) {
-          EmitStr(out,
-                  "error: --neighbors=lsh needs basket/store input\n");
-          return 1;
-        }
-        auto graph = ComputeNeighborsLsh(loaded->transactions, theta);
-        if (!graph.ok()) {
-          EmitStr(out, "error: " + graph.status().ToString() + "\n");
-          return 1;
-        }
-        result = RockClusterer(opt).ClusterGraph(*graph);
-      } else if (neighbors == "exact") {
-        result = RockClusterer(opt).Cluster(*sim);
-      } else {
-        EmitStr(out, "error: unknown --neighbors '" + neighbors + "'\n");
-        return 2;
-      }
+      auto result = RockClusterer(opt).Cluster(*sim);
       if (!result.ok()) {
         EmitStr(out, "error: " + result.status().ToString() + "\n");
         return 1;
@@ -574,12 +578,13 @@ int CmdCluster(const std::vector<std::string>& args, std::string* out,
       Emit(out,
            "rock: θ=%.3f merges=%zu pruned=%zu weeded=%zu "
            "criterion=%.2f\n",
-           theta, result->stats.num_merges, result->stats.num_pruned_points,
+           opt.theta, result->stats.num_merges,
+           result->stats.num_pruned_points,
            result->stats.num_weeded_clusters,
            result->stats.criterion_value);
       const uint64_t violations =
           run_metrics.CounterOr("diag.invariant_violations");
-      if (check_invariants > 0) {
+      if (rock.check_invariants > 0) {
         Emit(out, "diag: invariant checks=%llu violations=%llu\n",
              static_cast<unsigned long long>(
                  run_metrics.CounterOr("diag.invariant_checks")),
@@ -590,14 +595,14 @@ int CmdCluster(const std::vector<std::string>& args, std::string* out,
         return 1;
       }
     } else if (algo == "single-link") {
-      auto result = ClusterSingleLink(*sim, k);
+      auto result = ClusterSingleLink(*sim, opt.num_clusters);
       if (!result.ok()) {
         EmitStr(out, "error: " + result.status().ToString() + "\n");
         return 1;
       }
       clustering = std::move(*result);
     } else {
-      auto result = ClusterGroupAverage(*sim, k);
+      auto result = ClusterGroupAverage(*sim, opt.num_clusters);
       if (!result.ok()) {
         EmitStr(out, "error: " + result.status().ToString() + "\n");
         return 1;
@@ -609,19 +614,19 @@ int CmdCluster(const std::vector<std::string>& args, std::string* out,
                             ? BinarizeRecords(loaded->categorical)
                             : BinarizeTransactions(loaded->transactions);
     if (algo == "centroid") {
-      CentroidHierarchicalOptions opt;
-      opt.num_clusters = k;
-      auto result = ClusterCentroidHierarchical(bin.points, opt);
+      CentroidHierarchicalOptions copt;
+      copt.num_clusters = opt.num_clusters;
+      auto result = ClusterCentroidHierarchical(bin.points, copt);
       if (!result.ok()) {
         EmitStr(out, "error: " + result.status().ToString() + "\n");
         return 1;
       }
       clustering = std::move(result->clustering);
     } else {
-      KMeansOptions opt;
-      opt.num_clusters = k;
-      opt.seed = static_cast<uint64_t>(seed);
-      auto result = ClusterKMeans(bin.points, opt);
+      KMeansOptions kopt;
+      kopt.num_clusters = opt.num_clusters;
+      kopt.seed = static_cast<uint64_t>(seed);
+      auto result = ClusterKMeans(bin.points, kopt);
       if (!result.ok()) {
         EmitStr(out, "error: " + result.status().ToString() + "\n");
         return 1;
@@ -679,134 +684,46 @@ int CmdCluster(const std::vector<std::string>& args, std::string* out,
   return 0;
 }
 
-// Sampling/clustering flags shared by `rock pipeline` and `rock build`.
-// One definition keeps the two halves' defaults identical — the serve ≡
-// pipeline differential only holds when both build the exact same model.
+// Sampling flags shared by `rock pipeline` and `rock build`, on top of the
+// clusterer flags. One definition keeps the two halves' defaults identical
+// — the serve ≡ pipeline differential only holds when both build the
+// exact same model.
 struct PipelineFlagValues {
-  double theta = 0.5;
-  size_t k = 10;
+  RockFlagValues rock{.k = 10, .stop_multiple = 3.0, .min_support = 5};
   size_t sample_size = 2000;
   double labeling_fraction = 0.25;
-  double stop_multiple = 3.0;
-  size_t min_support = 5;
-  size_t check_invariants = 0;
-  size_t threads = 1;
-  size_t graph_threads = kGraphThreadsInherit;
-  size_t row_chunk = 16;
   size_t label_threads = 1;
-  size_t lsh_bands = 0;
-  size_t lsh_rows = 0;
-  size_t lsh_seed = 0x5eed;
   int64_t seed = 42;
   std::string failpoints;
-  std::string merge_engine = "parallel";
-  size_t merge_threads = 1;
-  std::string neighbor_engine = "packed";
-  std::string link_engine = "packed";
 };
 
 void RegisterPipelineFlags(FlagSet& flags, PipelineFlagValues* v) {
+  RegisterRockFlags(flags, &v->rock);
+  flags.AddSize("label-threads", &v->label_threads,
+                "worker threads for the disk labeling phase "
+                "(0 = all cores; assignments are identical at any count)");
+  flags.AddSize("sample-size", &v->sample_size, "random sample size");
+  flags.AddDouble("labeling-fraction", &v->labeling_fraction,
+                  "fraction of each cluster used for labeling");
+  flags.AddInt("seed", &v->seed, "sampling seed");
   flags.AddString("failpoints", &v->failpoints,
                   "deterministic fault-injection schedule, e.g. "
                   "'store.read=fire_on_hit_10:error' "
                   "(docs/ROBUSTNESS.md; debug builds only)");
-  flags.AddSize("threads", &v->threads,
-                "worker threads for the neighbor/link phases "
-                "(0 = all cores; results are identical at any count)");
-  flags.AddSize("graph-threads", &v->graph_threads,
-                "worker threads for just the neighbor/link phases "
-                "(default: follow --threads; 0 = all cores)");
-  flags.AddSize("row-chunk", &v->row_chunk,
-                "rows claimed per parallel scheduling step "
-                "(with --threads > 1)");
-  flags.AddSize("label-threads", &v->label_threads,
-                "worker threads for the disk labeling phase "
-                "(0 = all cores; assignments are identical at any count)");
-  flags.AddSize("lsh-bands", &v->lsh_bands,
-                "LSH bands for --neighbor-engine=lsh|auto "
-                "(0 = auto-tune from θ)");
-  flags.AddSize("lsh-rows", &v->lsh_rows,
-                "LSH rows per band (0 = auto-tune from θ)");
-  flags.AddSize("lsh-seed", &v->lsh_seed, "LSH hash-family seed");
-  flags.AddString("neighbor-engine", &v->neighbor_engine,
-                  "packed | scalar | lsh | auto neighbor-graph engine "
-                  "(packed/scalar are exact and identical, lsh is "
-                  "precision-1 approximate, auto picks per dataset)");
-  flags.AddString("link-engine", &v->link_engine,
-                  "packed | hashed link-count engine (link rows are "
-                  "identical, packed is faster)");
-  flags.AddString("merge-engine", &v->merge_engine,
-                  "parallel | flat | hashed merge-engine layout (results "
-                  "are identical, parallel is fastest)");
-  flags.AddSize("merge-threads", &v->merge_threads,
-                "worker threads for the parallel merge engine's sharded "
-                "relink (0 = all cores; results are identical)");
-  flags.AddSize("check-invariants", &v->check_invariants,
-                "validate merge bookkeeping every Nth merge (0 = off)");
-  flags.AddDouble("theta", &v->theta, "neighbor threshold θ");
-  flags.AddSize("k", &v->k, "desired number of clusters");
-  flags.AddSize("sample-size", &v->sample_size, "random sample size");
-  flags.AddDouble("labeling-fraction", &v->labeling_fraction,
-                  "fraction of each cluster used for labeling");
-  flags.AddDouble("stop-multiple", &v->stop_multiple,
-                  "outlier weeding pause multiple (0 = off)");
-  flags.AddSize("min-support", &v->min_support,
-                "weeding minimum cluster size");
-  flags.AddInt("seed", &v->seed, "sampling seed");
 }
 
 /// Transfers parsed flag values into PipelineOptions. Returns 0, or exit
 /// code 2 after rendering an error for an unknown engine name.
 int ApplyPipelineFlags(const PipelineFlagValues& v, PipelineOptions* opt,
                        std::string* out) {
-  opt->rock.theta = v.theta;
-  opt->rock.num_clusters = v.k;
-  opt->rock.outlier_stop_multiple = v.stop_multiple;
-  opt->rock.min_cluster_support = v.min_support;
-  opt->rock.diag.invariant_check_every = v.check_invariants;
-  opt->rock.num_threads = v.threads;
-  opt->rock.graph_threads = v.graph_threads;
-  opt->rock.row_chunk = v.row_chunk;
+  if (int code = ApplyRockFlags(v.rock, &opt->rock, out); code != 0) {
+    return code;
+  }
   opt->rock.label_threads = v.label_threads;
-  opt->rock.lsh_bands = v.lsh_bands;
-  opt->rock.lsh_rows = v.lsh_rows;
-  opt->rock.lsh_seed = v.lsh_seed;
-  if (v.neighbor_engine == "packed") {
-    opt->rock.neighbor_engine = NeighborEngineKind::kPacked;
-  } else if (v.neighbor_engine == "scalar") {
-    opt->rock.neighbor_engine = NeighborEngineKind::kScalar;
-  } else if (v.neighbor_engine == "lsh") {
-    opt->rock.neighbor_engine = NeighborEngineKind::kLsh;
-  } else if (v.neighbor_engine == "auto") {
-    opt->rock.neighbor_engine = NeighborEngineKind::kAuto;
-  } else {
-    EmitStr(out,
-            "error: unknown --neighbor-engine '" + v.neighbor_engine + "'\n");
-    return 2;
-  }
-  if (v.link_engine == "packed") {
-    opt->rock.link_engine = LinkEngineKind::kPacked;
-  } else if (v.link_engine == "hashed") {
-    opt->rock.link_engine = LinkEngineKind::kHashed;
-  } else {
-    EmitStr(out, "error: unknown --link-engine '" + v.link_engine + "'\n");
-    return 2;
-  }
-  opt->rock.merge_threads = v.merge_threads;
-  if (v.merge_engine == "parallel") {
-    opt->rock.merge_engine = MergeEngineKind::kParallel;
-  } else if (v.merge_engine == "flat") {
-    opt->rock.merge_engine = MergeEngineKind::kFlat;
-  } else if (v.merge_engine == "hashed") {
-    opt->rock.merge_engine = MergeEngineKind::kHashed;
-  } else {
-    EmitStr(out, "error: unknown --merge-engine '" + v.merge_engine + "'\n");
-    return 2;
-  }
+  opt->rock.failpoints = v.failpoints;
   opt->sample_size = v.sample_size;
   opt->labeling.fraction = v.labeling_fraction;
   opt->seed = static_cast<uint64_t>(v.seed);
-  opt->rock.failpoints = v.failpoints;
   return 0;
 }
 

@@ -1,20 +1,15 @@
 // librock — core/merge_engine.h (internal)
 //
-// The three interchangeable implementations of the Fig. 3 agglomerative
-// merge loop. All consume a prebuilt neighbor graph, run the link phase,
-// and return a complete RockResult; they differ only in data layout and
-// scheduling:
+// The two interchangeable implementations of the Fig. 3 agglomerative
+// merge loop: one production engine and one oracle. Both consume a
+// prebuilt neighbor graph, run the link phase, and return a complete
+// RockResult; they differ only in data layout and scheduling:
 //
 //   * parallel — interleaved (AoS) partner rows, elided no-op global-heap
 //                fixups, and a three-way sorted relink that shards into
 //                disjoint partner-id ranges over a persistent worker pool
 //                when RockOptions::merge_threads > 1. The default engine
 //                (core/merge_parallel.cc, DESIGN.md §12).
-//   * flat     — CSR link rows (LinkMatrix::Freeze), sorted flat
-//                partner/count vectors per cluster with lazy dead-entry
-//                removal, per-run arena-allocated cluster slabs, and
-//                batched heap updates (core/merge_flat.cc). Kept as a
-//                second oracle and the perf-gate baseline.
 //   * hashed   — per-cluster std::unordered_map link tables, the original
 //                layout. Kept behind the same API as the reference oracle
 //                for differential tests and perf baselines
@@ -31,10 +26,6 @@
 #include "core/rock.h"
 
 namespace rock::internal {
-
-/// Runs the flat-layout merge engine (CSR rows, sorted-merge relinking).
-RockResult RunFlatMergeEngine(const NeighborGraph& graph,
-                              const RockOptions& options);
 
 /// Runs the original hash-table merge engine (reference oracle).
 RockResult RunHashedMergeEngine(const NeighborGraph& graph,

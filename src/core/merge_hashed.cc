@@ -1,11 +1,11 @@
 // librock — core/merge_hashed.cc
 //
 // The original hash-table merge engine: per-cluster std::unordered_map link
-// tables and O(1)-probe relinking. Superseded as the default by the flat
-// engine (core/merge_flat.cc) but kept behind the same API as the reference
-// oracle — differential tests assert the two engines produce bit-identical
-// merge sequences, and the perf-smoke harness measures the flat engine's
-// speedup against this one.
+// tables and O(1)-probe relinking. Superseded as the default by the
+// parallel engine (core/merge_parallel.cc) but kept behind the same API as
+// the paper-faithful reference oracle — differential tests assert the two
+// engines produce bit-identical merge sequences, and the perf-smoke
+// harness measures the parallel engine's speedup against this one.
 
 #include <algorithm>
 #include <cmath>

@@ -1,10 +1,9 @@
 // librock — core/merge_parallel.cc
 //
 // The parallel sharded merge engine (the default; DESIGN.md §12). Same
-// Fig. 3 algorithm and byte-identical results as the flat and hashed
-// engines (core/merge_flat.cc, core/merge_hashed.cc); the greedy merge
-// *sequence* stays serial — it is inherently so — and the per-merge work
-// is restructured for throughput:
+// Fig. 3 algorithm and byte-identical results as the hashed oracle
+// (core/merge_hashed.cc); the greedy merge *sequence* stays serial — it is
+// inherently so — and the per-merge work is restructured for throughput:
 //
 //   * Interleaved rows: each cluster's cross-links live in one vector of
 //     24-byte RowEntry{partner, count, goodness} records instead of three
@@ -20,9 +19,9 @@
 //   * Lazy best cleaning: on real data the merging pair (u, v) is each
 //     touched neighbor's own best partner almost every time (the pair
 //     with globally maximal goodness sits inside a natural cluster, and
-//     so do its neighbors), so the flat engine's "rescan when the best
-//     dies" fires on ~99% of touches — ~1.6M full row scans on the n=5k
-//     basket benchmark, the entire merge-stage bottleneck. Here a cluster
+//     so do its neighbors), so an eager "rescan when the best dies" over
+//     a tracked argmax fires on ~99% of touches — ~1.6M full row scans on
+//     the n=5k basket benchmark. Here a cluster
 //     whose best died is just marked dirty, keeping max(old best, new
 //     goodness) as its stored priority — a provable upper bound on its
 //     true best (dead entries only remove candidates; the one new entry
@@ -59,9 +58,12 @@
 //     compacted — catching rows that went stale through weeding, which
 //     the per-touch compaction cannot see.
 //
-// Metrics beyond the flat engine's set: merge.shards, merge.parallel_
-// relinks, merge.compact_sweeps, stage.merge.relink.parallel and the
-// merge.threads gauge (docs/OBSERVABILITY.md).
+// Metrics beyond the hashed oracle's set: merge.relink_partners,
+// merge.relink_dead_skipped, merge.relink_best_rescans,
+// merge.relink_compactions, heap.ops, merge.shards, merge.parallel_relinks,
+// merge.compact_sweeps, the stage.merge.relink / .heap /
+// .relink.parallel timers and the merge.threads gauge
+// (docs/OBSERVABILITY.md).
 
 #include <algorithm>
 #include <cassert>
@@ -109,8 +111,8 @@ struct RowEntry {
 /// Bookkeeping for one cluster. `row` is in strictly ascending partner-id
 /// order; entries whose partner has died (alive bitmap) are stale and
 /// skipped lazily, so only `live_links` of them are meaningful.
-/// `best_key`/`best_priority` replace the paper's local heap as in the
-/// flat engine — except when `dirty` is set, in which case best_priority
+/// `best_key`/`best_priority` replace the paper's local heap with a
+/// tracked argmax — except when `dirty` is set, in which case best_priority
 /// is only an upper bound on the true best (and best_key is meaningless)
 /// until the cluster is cleaned at the heap top.
 struct ParClusterState {
@@ -800,8 +802,8 @@ class ParallelMergeEngine {
   }
 
   /// Re-derives the merge loop's redundant state from first principles and
-  /// reports every disagreement — the same checks (a)–(f) as the flat
-  /// engine (membership partition, cross-links, goodness, heaps) over the
+  /// reports every disagreement — the same checks (a)–(f) as the hashed
+  /// oracle (membership partition, cross-links, goodness, heaps) over the
   /// interleaved row layout. Debug cadence only, never on by default.
   void VerifyBookkeeping(const LinkMatrix& links) {
     invariant_report_.NoteCheck();

@@ -35,13 +35,10 @@ double MarketBasketF(double theta);
 /// canonical default.
 double ConservativeMarketBasketF(double theta);
 
-/// Which data layout the Fig. 3 merge engine runs on. Results (merge
-/// sequence, clustering, stats) are bit-identical across all three; only
-/// memory layout and speed differ.
+/// Which engine runs the Fig. 3 merge loop. Results (merge sequence,
+/// clustering, stats) are bit-identical between the two; only memory
+/// layout and speed differ.
 enum class MergeEngineKind {
-  /// CSR link rows + sorted flat partner lists + batched heap updates.
-  /// Kept as a second oracle for differential tests and perf baselines.
-  kFlat,
   /// The original per-cluster `unordered_map` link tables. Kept as the
   /// reference oracle for differential tests and perf baselines.
   kHashed,
@@ -49,7 +46,7 @@ enum class MergeEngineKind {
   /// relink that fans out over disjoint partner-id shards when
   /// merge_threads > 1 — the default engine (core/merge_parallel.cc).
   /// The merge *sequence* stays serial, so results are byte-identical to
-  /// the other two at any thread count.
+  /// the oracle at any thread count.
   kParallel,
 };
 
@@ -162,7 +159,7 @@ struct RockOptions {
   /// functions of (data, banding, this seed) at any thread count.
   uint64_t lsh_seed = 0x5eed;
 
-  /// Merge-engine data layout; see MergeEngineKind. All engines produce
+  /// Merge engine; see MergeEngineKind. Both engines produce
   /// bit-identical results.
   MergeEngineKind merge_engine = MergeEngineKind::kParallel;
 
@@ -170,7 +167,7 @@ struct RockOptions {
   /// sharded relink and the periodic compaction sweep; the merge sequence
   /// itself is inherently serial). 1 = serial (default), 0 = hardware
   /// concurrency. Results are byte-identical at any count. Ignored by the
-  /// flat and hashed engines.
+  /// hashed engine.
   size_t merge_threads = 1;
 
   /// Minimum combined live-entry count of the two merged clusters' rows

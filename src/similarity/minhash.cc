@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
 
 #include "common/random.h"
-#include "similarity/jaccard.h"
 
 namespace rock {
 
@@ -105,75 +103,6 @@ double LshCollisionProbability(double s, const LshOptions& options) {
                                           options.rows_per_band));
   return 1.0 - std::pow(1.0 - per_band,
                         static_cast<double>(options.num_bands));
-}
-
-Result<NeighborGraph> ComputeNeighborsLsh(const TransactionDataset& dataset,
-                                          double theta,
-                                          const LshOptions& options) {
-  if (!(theta >= 0.0 && theta <= 1.0)) {
-    return Status::InvalidArgument("theta must be in [0, 1]");
-  }
-  ROCK_RETURN_IF_ERROR(options.Validate());
-
-  const size_t n = dataset.size();
-  const size_t sig_len = options.num_bands * options.rows_per_band;
-  MinHasher hasher(sig_len, options.seed);
-
-  std::vector<std::vector<uint64_t>> signatures(n);
-  for (size_t i = 0; i < n; ++i) {
-    signatures[i] = hasher.Signature(dataset.transaction(i));
-  }
-
-  // Banding: bucket each point by the hash of every band slice; points
-  // sharing any bucket become candidates. Candidate pairs are collected
-  // with duplicates and batch-deduplicated (sort + unique) before the
-  // exact verification pass. Empty transactions never enter a bucket:
-  // their all-max signatures would all collide with each other in every
-  // band (a quadratic candidate blow-up in one bucket at scale) even
-  // though their exact Jaccard is 0 < θ with everything, so for θ > 0
-  // skipping them loses no edge; at θ = 0 they neighbor everything and
-  // no banding scheme can see that, which is why callers needing θ = 0
-  // use the exact engines.
-  std::vector<uint64_t> candidates;  // (lo << 32) | hi
-  std::unordered_map<uint64_t, std::vector<PointIndex>> buckets;
-  for (size_t band = 0; band < options.num_bands; ++band) {
-    buckets.clear();
-    for (size_t i = 0; i < n; ++i) {
-      if (dataset.transaction(i).empty()) continue;
-      const uint64_t h =
-          LshBandKey(signatures[i].data() + band * options.rows_per_band,
-                     options.rows_per_band, band);
-      buckets[h].push_back(static_cast<PointIndex>(i));
-    }
-    for (const auto& [_, members] : buckets) {
-      if (members.size() < 2) continue;
-      for (size_t a = 0; a + 1 < members.size(); ++a) {
-        for (size_t b = a + 1; b < members.size(); ++b) {
-          const uint64_t lo = std::min(members[a], members[b]);
-          const uint64_t hi = std::max(members[a], members[b]);
-          candidates.push_back((lo << 32) | hi);
-        }
-      }
-    }
-  }
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
-
-  NeighborGraph graph;
-  graph.nbrlist.resize(n);
-  for (uint64_t key : candidates) {
-    const auto lo = static_cast<PointIndex>(key >> 32);
-    const auto hi = static_cast<PointIndex>(key & 0xffffffffu);
-    // Exact verification keeps precision at 1.
-    if (JaccardSimilarity(dataset.transaction(lo),
-                          dataset.transaction(hi)) >= theta) {
-      graph.nbrlist[lo].push_back(hi);
-      graph.nbrlist[hi].push_back(lo);
-    }
-  }
-  for (auto& l : graph.nbrlist) std::sort(l.begin(), l.end());
-  return graph;
 }
 
 }  // namespace rock

@@ -1,6 +1,6 @@
 // librock — similarity/minhash.h
 //
-// MinHash + LSH-banding acceleration for the neighbor-graph phase on
+// MinHash + LSH-banding primitives for the neighbor-graph phase on
 // market-basket data. The paper's pipeline spends O(n²) similarity
 // evaluations building the neighbor graph (§4.5); for Jaccard similarity
 // the classic MinHash sketch lets us generate *candidate* neighbor pairs
@@ -8,7 +8,8 @@
 // preserving ROCK's semantics: every reported edge satisfies
 // sim(i, j) >= θ exactly (precision 1), while recall is controlled by the
 // banding parameters (probability of missing a pair at similarity s is
-// (1 − s^r)^b).
+// (1 − s^r)^b). The neighbor builder itself is the packed engine's LSH
+// pass (graph/neighbor_engine.h, PackedStrategy::kLsh).
 
 #ifndef ROCK_SIMILARITY_MINHASH_H_
 #define ROCK_SIMILARITY_MINHASH_H_
@@ -61,14 +62,6 @@ struct LshOptions {
   Status Validate() const;
 };
 
-/// Builds the θ-neighbor graph over basket transactions using MinHash
-/// banding for candidate generation and exact Jaccard verification.
-/// Guaranteed a subgraph of ComputeNeighbors(TransactionJaccard, θ);
-/// misses edges only when a truly-similar pair never collides in any band.
-Result<NeighborGraph> ComputeNeighborsLsh(const TransactionDataset& dataset,
-                                          double theta,
-                                          const LshOptions& options = {});
-
 /// Expected probability that a pair at similarity `s` becomes a candidate
 /// under the banding parameters: 1 − (1 − s^r)^b. Exposed for tests and
 /// for tuning recall targets.
@@ -86,8 +79,8 @@ LshOptions TuneLshOptions(double theta, uint64_t seed);
 
 /// Bucket key of one band slice (`rows` consecutive signature words),
 /// salted by the band index so equal slices in different bands land in
-/// distinct bucket spaces. Shared by ComputeNeighborsLsh and the packed
-/// neighbor engine's LSH pass so both bucket identically.
+/// distinct bucket spaces. Used by the packed neighbor engine's LSH pass
+/// (graph/neighbor_engine.h, PackedStrategy::kLsh).
 uint64_t LshBandKey(const uint64_t* slice, size_t rows, size_t band);
 
 }  // namespace rock

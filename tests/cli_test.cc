@@ -7,6 +7,8 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "cli/cli.h"
 
@@ -299,6 +301,33 @@ TEST_F(CliTest, NeighborEngineFlagSelectsAndValidates) {
                             "--neighbor-engine=simd"});
   EXPECT_EQ(bcode, 2);
   EXPECT_NE(bout.find("unknown --neighbor-engine"), std::string::npos);
+}
+
+// The clusterer flags are bound once for cluster, pipeline and build: an
+// unknown engine name is rejected before any input is read, with the same
+// exit code and the same error line from every subcommand. `flat` names
+// the retired merge engine.
+TEST_F(CliTest, EngineFlagsAreValidatedIdenticallyAcrossSubcommands) {
+  const std::vector<std::vector<std::string>> commands = {
+      {"cluster", "--input=" + Path("missing.csv")},
+      {"pipeline", "--store=" + Path("missing.store")},
+      {"build", "--store=" + Path("missing.store"),
+       "--model=" + Path("model.bin")},
+  };
+  const std::pair<std::string, std::string> bad_flags[] = {
+      {"--merge-engine=flat", "error: unknown --merge-engine 'flat'\n"},
+      {"--neighbor-engine=simd", "error: unknown --neighbor-engine 'simd'\n"},
+      {"--link-engine=csr", "error: unknown --link-engine 'csr'\n"},
+  };
+  for (const auto& [flag, error_line] : bad_flags) {
+    for (std::vector<std::string> args : commands) {
+      SCOPED_TRACE(args.front() + " " + flag);
+      args.push_back(flag);
+      auto [code, out] = Run(args);
+      EXPECT_EQ(code, 2);
+      EXPECT_EQ(out, error_line);
+    }
+  }
 }
 
 TEST_F(CliTest, GenMushroomScaled) {

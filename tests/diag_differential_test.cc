@@ -140,166 +140,47 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialSeedTest,
 
 // ------------------------------------------------- merge-engine differential --
 
-// The flat merge engine (CSR rows, sorted-merge relinking, batched heap
-// updates) must reproduce the hashed oracle bit for bit: the same merge
-// sequence record by record, the same clustering, the same stats. Any
-// divergence in the relink algebra or heap ordering shows up as the first
-// differing MergeRecord.
+// The parallel merge engine must reproduce the hashed oracle bit for bit:
+// the same merge sequence record by record, the same clustering, the same
+// stats. Any divergence in the relink algebra or heap ordering shows up as
+// the first differing MergeRecord.
 
-void ExpectRunsIdentical(const RockResult& hashed, const RockResult& flat) {
-  ASSERT_EQ(hashed.merges.size(), flat.merges.size());
-  for (size_t m = 0; m < hashed.merges.size(); ++m) {
-    const MergeRecord& a = hashed.merges[m];
-    const MergeRecord& b = flat.merges[m];
+void ExpectRunsIdentical(const RockResult& expected,
+                         const RockResult& actual) {
+  ASSERT_EQ(expected.merges.size(), actual.merges.size());
+  for (size_t m = 0; m < expected.merges.size(); ++m) {
+    const MergeRecord& a = expected.merges[m];
+    const MergeRecord& b = actual.merges[m];
     ASSERT_EQ(a.left, b.left) << "merge " << m;
     ASSERT_EQ(a.right, b.right) << "merge " << m;
     ASSERT_EQ(a.merged, b.merged) << "merge " << m;
     ASSERT_EQ(a.new_size, b.new_size) << "merge " << m;
     ASSERT_DOUBLE_EQ(a.goodness, b.goodness) << "merge " << m;
   }
-  EXPECT_EQ(hashed.clustering.assignment, flat.clustering.assignment);
-  ASSERT_EQ(hashed.clustering.num_clusters(), flat.clustering.num_clusters());
-  for (size_t c = 0; c < hashed.clustering.num_clusters(); ++c) {
-    EXPECT_EQ(hashed.clustering.clusters[c], flat.clustering.clusters[c])
+  EXPECT_EQ(expected.clustering.assignment, actual.clustering.assignment);
+  ASSERT_EQ(expected.clustering.num_clusters(),
+            actual.clustering.num_clusters());
+  for (size_t c = 0; c < expected.clustering.num_clusters(); ++c) {
+    EXPECT_EQ(expected.clustering.clusters[c], actual.clustering.clusters[c])
         << "cluster " << c;
   }
-  EXPECT_EQ(hashed.stats.num_points, flat.stats.num_points);
-  EXPECT_EQ(hashed.stats.num_pruned_points, flat.stats.num_pruned_points);
-  EXPECT_EQ(hashed.stats.num_weeded_clusters,
-            flat.stats.num_weeded_clusters);
-  EXPECT_EQ(hashed.stats.num_weeded_points, flat.stats.num_weeded_points);
-  EXPECT_EQ(hashed.stats.num_merges, flat.stats.num_merges);
-  EXPECT_DOUBLE_EQ(hashed.stats.criterion_value,
-                   flat.stats.criterion_value);
+  EXPECT_EQ(expected.stats.num_points, actual.stats.num_points);
+  EXPECT_EQ(expected.stats.num_pruned_points, actual.stats.num_pruned_points);
+  EXPECT_EQ(expected.stats.num_weeded_clusters,
+            actual.stats.num_weeded_clusters);
+  EXPECT_EQ(expected.stats.num_weeded_points, actual.stats.num_weeded_points);
+  EXPECT_EQ(expected.stats.num_merges, actual.stats.num_merges);
+  EXPECT_DOUBLE_EQ(expected.stats.criterion_value,
+                   actual.stats.criterion_value);
 }
 
-// θ × thread-count grid, with outlier pruning and weeding enabled so the
-// flat engine's lazy-deletion path is exercised through WeedSmallClusters
-// as well as merges. Invariant checking runs in both engines every few
-// merges, so each engine's own bookkeeping oracle must also stay clean.
-class MergeEngineDifferentialTest
-    : public ::testing::TestWithParam<std::tuple<double, size_t>> {};
-
-TEST_P(MergeEngineDifferentialTest, FlatMatchesHashedOracle) {
-  const auto [theta, threads] = GetParam();
-  const uint64_t seed = 20260806;
-  ROCK_TRACE_SEED(seed);
-  TransactionDataset ds = RandomDataset(seed, 2);
-  TransactionJaccard sim(ds);
-
-  RockOptions opt;
-  opt.theta = theta;
-  opt.num_clusters = 3;
-  opt.outlier_stop_multiple = 3.0;
-  opt.min_cluster_support = 4;
-  opt.num_threads = threads;
-  opt.row_chunk = 5;  // force many scheduling steps on a small input
-  opt.diag.invariant_check_every = 7;
-
-  opt.merge_engine = MergeEngineKind::kHashed;
-  auto hashed = RockClusterer(opt).Cluster(sim);
-  ASSERT_TRUE(hashed.ok());
-  opt.merge_engine = MergeEngineKind::kFlat;
-  auto flat = RockClusterer(opt).Cluster(sim);
-  ASSERT_TRUE(flat.ok());
-
-  ExpectRunsIdentical(*hashed, *flat);
-  EXPECT_EQ(hashed->metrics.CounterOr("diag.invariant_violations"), 0u);
-  EXPECT_EQ(flat->metrics.CounterOr("diag.invariant_violations"), 0u);
-  EXPECT_GT(flat->metrics.CounterOr("diag.invariant_checks"), 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    ThetaByThreads, MergeEngineDifferentialTest,
-    ::testing::Combine(::testing::Values(0.2, 0.5, 0.8),
-                       ::testing::Values(size_t{1}, size_t{2}, size_t{4})),
-    [](const ::testing::TestParamInfo<
-        MergeEngineDifferentialTest::ParamType>& param) {
-      const double theta = std::get<0>(param.param);
-      return "theta" + std::to_string(static_cast<int>(theta * 10)) +
-             "_threads" + std::to_string(std::get<1>(param.param));
-    });
-
-// Varying datasets at a fixed grid point: different seeds produce different
-// merge orders, weeding patterns, and pruning sets.
-class MergeEngineSeedTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(MergeEngineSeedTest, FlatMatchesHashedAcrossDatasets) {
-  const uint64_t seed = GetParam();
-  ROCK_TRACE_SEED(seed);
-  TransactionDataset ds = RandomDataset(seed, 1);
-  TransactionJaccard sim(ds);
-
-  RockOptions opt;
-  opt.theta = 0.5;
-  opt.num_clusters = 3;
-  opt.outlier_stop_multiple = 2.0;
-  opt.min_cluster_support = 3;
-  opt.diag.invariant_check_every = 5;
-
-  opt.merge_engine = MergeEngineKind::kHashed;
-  auto hashed = RockClusterer(opt).Cluster(sim);
-  ASSERT_TRUE(hashed.ok());
-  opt.merge_engine = MergeEngineKind::kFlat;
-  auto flat = RockClusterer(opt).Cluster(sim);
-  ASSERT_TRUE(flat.ok());
-
-  ExpectRunsIdentical(*hashed, *flat);
-  EXPECT_EQ(flat->metrics.CounterOr("diag.invariant_violations"), 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, MergeEngineSeedTest,
-                         ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u));
-
-// Degenerate inputs: a link-free graph (every point isolated → everything
-// pruned) and the complete graph (θ = 0, densest relinking possible) must
-// agree too, including when weeding is disabled.
-TEST(MergeEngineEdgeCaseTest, DegenerateGraphsAgree) {
-  TransactionDataset disjoint;
-  for (int t = 0; t < 30; ++t) {
-    disjoint.AddTransaction({"item_" + std::to_string(2 * t),
-                             "item_" + std::to_string(2 * t + 1)});
-  }
-  const uint64_t seed = 100;
-  ROCK_TRACE_SEED(seed);
-  TransactionDataset dense = RandomDataset(seed, 1);
-
-  struct Case {
-    const char* name;
-    const TransactionDataset* ds;
-    double theta;
-  };
-  TransactionJaccard disjoint_sim(disjoint);
-  TransactionJaccard dense_sim(dense);
-  const Case cases[] = {{"disjoint", &disjoint, 0.5},
-                        {"complete", &dense, 0.0}};
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.name);
-    TransactionJaccard sim(*c.ds);
-    RockOptions opt;
-    opt.theta = c.theta;
-    opt.num_clusters = 2;
-    opt.diag.invariant_check_every = 3;
-    opt.merge_engine = MergeEngineKind::kHashed;
-    auto hashed = RockClusterer(opt).Cluster(sim);
-    ASSERT_TRUE(hashed.ok());
-    opt.merge_engine = MergeEngineKind::kFlat;
-    auto flat = RockClusterer(opt).Cluster(sim);
-    ASSERT_TRUE(flat.ok());
-    ExpectRunsIdentical(*hashed, *flat);
-    EXPECT_EQ(flat->metrics.CounterOr("diag.invariant_violations"), 0u);
-  }
-}
-
-// ---------------------------------------------- parallel-engine differential --
-
-// The parallel merge engine adds three layers on top of flat — sharded
-// relinking, lazy best-cleaning with upper-bound priorities, and periodic
-// dead-entry compaction — and every one of them must be invisible in the
-// output: same MergeRecords, same clustering, same stats as BOTH oracles,
-// at every thread count. merge_shard_min is dropped to 1 so the ~100-point
-// datasets actually exercise the sharded path rather than falling back to
-// the serial relink.
+// The parallel engine layers sharded relinking, lazy best-cleaning with
+// upper-bound priorities, and periodic dead-entry compaction over the
+// Fig. 3 loop, and every one of them must be invisible in the output: same
+// MergeRecords, same clustering, same stats as the hashed oracle at every
+// thread count. merge_shard_min is dropped to 1 so the ~100-point datasets
+// actually exercise the sharded path rather than falling back to the
+// serial relink.
 
 RockOptions ParallelGridOptions(double theta, size_t threads, bool weeding) {
   RockOptions opt;
@@ -315,6 +196,11 @@ RockOptions ParallelGridOptions(double theta, size_t threads, bool weeding) {
   return opt;
 }
 
+// θ × thread-count × weeding grid. The two oracles are the hashed engine
+// (the paper's layout) and the parallel engine's own serial relink
+// (merge_threads = 1), which isolates a sharding bug from a layout bug. The
+// graph phases run on the same thread count with a tiny row chunk, so the
+// whole pipeline sees many scheduling steps on a small input.
 class ParallelEngineDifferentialTest
     : public ::testing::TestWithParam<std::tuple<double, size_t, bool>> {};
 
@@ -326,18 +212,22 @@ TEST_P(ParallelEngineDifferentialTest, ParallelMatchesBothOracles) {
   TransactionJaccard sim(ds);
 
   RockOptions opt = ParallelGridOptions(theta, threads, weeding);
-  opt.merge_engine = MergeEngineKind::kFlat;
-  auto flat = RockClusterer(opt).Cluster(sim);
-  ASSERT_TRUE(flat.ok());
+  opt.num_threads = threads;
+  opt.row_chunk = 5;
   opt.merge_engine = MergeEngineKind::kHashed;
   auto hashed = RockClusterer(opt).Cluster(sim);
   ASSERT_TRUE(hashed.ok());
   opt.merge_engine = MergeEngineKind::kParallel;
+  opt.merge_threads = 1;
+  auto serial = RockClusterer(opt).Cluster(sim);
+  ASSERT_TRUE(serial.ok());
+  opt.merge_threads = threads;
   auto parallel = RockClusterer(opt).Cluster(sim);
   ASSERT_TRUE(parallel.ok());
 
-  ExpectRunsIdentical(*flat, *parallel);
   ExpectRunsIdentical(*hashed, *parallel);
+  ExpectRunsIdentical(*serial, *parallel);
+  EXPECT_EQ(hashed->metrics.CounterOr("diag.invariant_violations"), 0u);
   EXPECT_EQ(parallel->metrics.CounterOr("diag.invariant_violations"), 0u);
   EXPECT_GT(parallel->metrics.CounterOr("diag.invariant_checks"), 0u);
   if (threads > 1 && parallel->stats.num_merges > 0) {
@@ -365,7 +255,7 @@ INSTANTIATE_TEST_SUITE_P(
 // clean pattern of the lazy best-cleaning, and the shard boundaries.
 class ParallelEngineSeedTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(ParallelEngineSeedTest, ParallelMatchesFlatAcrossDatasets) {
+TEST_P(ParallelEngineSeedTest, ParallelMatchesHashedAcrossDatasets) {
   const uint64_t seed = GetParam();
   ROCK_TRACE_SEED(seed);
   TransactionDataset ds = RandomDataset(seed, 1);
@@ -376,25 +266,26 @@ TEST_P(ParallelEngineSeedTest, ParallelMatchesFlatAcrossDatasets) {
   opt.min_cluster_support = 3;
   opt.diag.invariant_check_every = 5;
 
-  opt.merge_engine = MergeEngineKind::kFlat;
-  auto flat = RockClusterer(opt).Cluster(sim);
-  ASSERT_TRUE(flat.ok());
+  opt.merge_engine = MergeEngineKind::kHashed;
+  auto hashed = RockClusterer(opt).Cluster(sim);
+  ASSERT_TRUE(hashed.ok());
   opt.merge_engine = MergeEngineKind::kParallel;
   auto parallel = RockClusterer(opt).Cluster(sim);
   ASSERT_TRUE(parallel.ok());
 
-  ExpectRunsIdentical(*flat, *parallel);
+  ExpectRunsIdentical(*hashed, *parallel);
+  EXPECT_EQ(hashed->metrics.CounterOr("diag.invariant_violations"), 0u);
   EXPECT_EQ(parallel->metrics.CounterOr("diag.invariant_violations"), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelEngineSeedTest,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u));
 
-// Degenerate graphs under the parallel engine: a link-free graph (every
-// merge candidate pruned away), the complete graph at θ = 0 (densest rows,
-// maximal shard counts), and a hub-and-spokes dataset where one point
-// neighbors everyone (one giant row next to width-1 rows — the worst case
-// for shard boundary placement).
+// Degenerate graphs: a link-free graph (every point isolated → everything
+// pruned), the complete graph at θ = 0 (densest rows, maximal shard
+// counts), and a hub-and-spokes dataset where one point neighbors everyone
+// (one giant row next to width-1 rows — the worst case for shard boundary
+// placement), all with weeding disabled.
 TEST(ParallelEngineEdgeCaseTest, DegenerateGraphsAgree) {
   TransactionDataset disjoint;
   for (int t = 0; t < 30; ++t) {
@@ -424,13 +315,14 @@ TEST(ParallelEngineEdgeCaseTest, DegenerateGraphsAgree) {
     RockOptions opt = ParallelGridOptions(c.theta, 8, false);
     opt.num_clusters = 2;
     opt.diag.invariant_check_every = 3;
-    opt.merge_engine = MergeEngineKind::kFlat;
-    auto flat = RockClusterer(opt).Cluster(sim);
-    ASSERT_TRUE(flat.ok());
+    opt.merge_engine = MergeEngineKind::kHashed;
+    auto hashed = RockClusterer(opt).Cluster(sim);
+    ASSERT_TRUE(hashed.ok());
     opt.merge_engine = MergeEngineKind::kParallel;
     auto parallel = RockClusterer(opt).Cluster(sim);
     ASSERT_TRUE(parallel.ok());
-    ExpectRunsIdentical(*flat, *parallel);
+    ExpectRunsIdentical(*hashed, *parallel);
+    EXPECT_EQ(hashed->metrics.CounterOr("diag.invariant_violations"), 0u);
     EXPECT_EQ(parallel->metrics.CounterOr("diag.invariant_violations"), 0u);
   }
 }
@@ -440,9 +332,9 @@ TEST(ParallelEngineEdgeCaseTest, DegenerateGraphsAgree) {
 // The bit-plane link engine must be invisible to everything downstream:
 // with the link rows byte-identical, the merge sequence, clustering, stats
 // and labels of a full run cannot depend on --link-engine. Exercised across
-// both merge engines (flat probes frozen CSR rows, hashed probes the lazily
-// materialized hash rows) so both row representations of the packed output
-// are covered end to end.
+// both merge engines (parallel probes frozen CSR rows, hashed probes the
+// lazily materialized hash rows) so both row representations of the packed
+// output are covered end to end.
 class LinkEngineClusterDifferentialTest
     : public ::testing::TestWithParam<std::tuple<double, MergeEngineKind>> {};
 
@@ -485,14 +377,15 @@ TEST_P(LinkEngineClusterDifferentialTest, PackedMatchesHashedEndToEnd) {
 INSTANTIATE_TEST_SUITE_P(
     ThetaByMergeEngine, LinkEngineClusterDifferentialTest,
     ::testing::Combine(::testing::Values(0.2, 0.5, 0.8),
-                       ::testing::Values(MergeEngineKind::kFlat,
+                       ::testing::Values(MergeEngineKind::kParallel,
                                          MergeEngineKind::kHashed)),
     [](const ::testing::TestParamInfo<
         LinkEngineClusterDifferentialTest::ParamType>& param) {
       const double theta = std::get<0>(param.param);
       return "theta" + std::to_string(static_cast<int>(theta * 10)) +
-             (std::get<1>(param.param) == MergeEngineKind::kFlat ? "_flat"
-                                                                 : "_hashed");
+             (std::get<1>(param.param) == MergeEngineKind::kParallel
+                  ? "_parallel"
+                  : "_hashed");
     });
 
 // Full disk pipeline: --link-engine packed vs hashed must deliver identical
@@ -621,13 +514,13 @@ TEST_F(LinkEnginePipelineTest, CrossEngineResumeMatchesUninterruptedRun) {
 }
 
 // Crash/resume across *merge* engines: a run that crashes mid-pipeline
-// under the sharded parallel engine must resume under the flat oracle into
+// under the sharded parallel engine must resume under the hashed oracle into
 // the exact uninterrupted result, and vice versa — the merge engine, like
 // the link engine, lives below the checkpoint fingerprint.
 TEST_F(LinkEnginePipelineTest, ParallelMergeResumeMatchesUninterruptedRun) {
   if (!fail::BuildEnabled()) GTEST_SKIP() << "failpoints compiled out";
   auto baseline_opt = Options(LinkEngineKind::kHashed);
-  baseline_opt.rock.merge_engine = MergeEngineKind::kFlat;
+  baseline_opt.rock.merge_engine = MergeEngineKind::kHashed;
   auto baseline = RunRockPipeline(store_path_, baseline_opt);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
 
@@ -643,10 +536,10 @@ TEST_F(LinkEnginePipelineTest, ParallelMergeResumeMatchesUninterruptedRun) {
   ASSERT_TRUE(fail::IsInjectedCrash(crashed.status()))
       << crashed.status().ToString();
 
-  // ...then resume it with the flat engine.
+  // ...then resume it with the hashed engine.
   fail::Clear();
   auto resumed_opt = Options(LinkEngineKind::kHashed);
-  resumed_opt.rock.merge_engine = MergeEngineKind::kFlat;
+  resumed_opt.rock.merge_engine = MergeEngineKind::kHashed;
   resumed_opt.checkpoint_path = ckpt_path_;
   resumed_opt.resume = true;
   auto resumed = RunRockPipeline(store_path_, resumed_opt);
@@ -654,9 +547,9 @@ TEST_F(LinkEnginePipelineTest, ParallelMergeResumeMatchesUninterruptedRun) {
   EXPECT_TRUE(resumed->resumed);
   ExpectPipelinesIdentical(*resumed, *baseline);
 
-  // Mirror image: flat crash, sharded parallel resume at 8 threads.
+  // Mirror image: hashed crash, sharded parallel resume at 8 threads.
   auto crashed2_opt = Options(LinkEngineKind::kHashed);
-  crashed2_opt.rock.merge_engine = MergeEngineKind::kFlat;
+  crashed2_opt.rock.merge_engine = MergeEngineKind::kHashed;
   crashed2_opt.checkpoint_path = ckpt_path_;
   crashed2_opt.rock.failpoints = "pipeline.checkpoint=fire_on_hit_2:crash";
   auto crashed2 = RunRockPipeline(store_path_, crashed2_opt);

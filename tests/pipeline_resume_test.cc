@@ -257,16 +257,17 @@ TEST_F(PipelineResumeTest, LoadCheckpointRejectsEveryCorruptionShape) {
 
 TEST_F(PipelineResumeTest, GoldenDeterminismAcrossEnginesAndThreads) {
   auto golden_opt = BaseOptions(0.5, 1);
-  golden_opt.rock.merge_engine = MergeEngineKind::kFlat;
+  golden_opt.rock.merge_engine = MergeEngineKind::kHashed;
   auto golden = RunRockPipeline(store_path_, golden_opt);
   ASSERT_TRUE(golden.ok()) << golden.status().ToString();
 
   for (MergeEngineKind engine :
-       {MergeEngineKind::kFlat, MergeEngineKind::kHashed}) {
+       {MergeEngineKind::kParallel, MergeEngineKind::kHashed}) {
     for (size_t threads : {size_t{1}, size_t{4}}) {
       SCOPED_TRACE(::testing::Message()
-                   << "engine=" << (engine == MergeEngineKind::kFlat ? "flat"
-                                                                     : "hashed")
+                   << "engine="
+                   << (engine == MergeEngineKind::kParallel ? "parallel"
+                                                            : "hashed")
                    << " threads=" << threads);
       auto opt = BaseOptions(0.5, threads);
       opt.rock.merge_engine = engine;

@@ -5,6 +5,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
 
 #include "cli/cli.h"
 #include "core/sweep.h"
@@ -130,22 +132,23 @@ TEST_F(SweepCliTest, LshAndThreadsFlagsWork) {
             0)
       << out;
   out.clear();
-  const int code =
-      RunCli({"cluster", "--input=" + Path("b.store"), "--format=store",
-              "--theta=0.5", "--k=10", "--neighbors=lsh", "--threads=2"},
-             &out);
+  // The LSH neighbor pass runs on the clusterer's thread budget and reports
+  // its stage timer and candidate counter like every other engine.
+  const int code = RunCli(
+      {"cluster", "--input=" + Path("b.store"), "--format=store",
+       "--theta=0.5", "--k=10", "--neighbor-engine=lsh", "--threads=2",
+       "--lsh-bands=50", "--lsh-rows=3",
+       "--metrics-json=" + Path("lsh.json")},
+      &out);
   ASSERT_EQ(code, 0) << out;
   EXPECT_NE(out.find("clusters:"), std::string::npos);
-  // LSH on categorical input is rejected.
-  ASSERT_EQ(RunCli({"gen", "--dataset=votes", "--out=" + Path("v.csv")},
-                   &out),
-            0);
-  out.clear();
-  EXPECT_EQ(RunCli({"cluster", "--input=" + Path("v.csv"),
-                    "--neighbors=lsh"},
-                   &out),
-            1);
-  EXPECT_NE(out.find("basket/store"), std::string::npos);
+  std::ifstream in(Path("lsh.json"));
+  const std::string json((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_NE(json.find("\"stage.neighbors\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"neighbors.lsh_candidates\""), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"graph.threads\""), std::string::npos) << json;
 }
 
 }  // namespace

@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
 # tools/perf_smoke.sh — CI's engine perf gates.
 #
-# Seven gates, all comparing speedup *ratios* (never absolute seconds, so
+# Six gates, all comparing speedup *ratios* (never absolute seconds, so
 # the gate holds across machines) against checked-in baselines, failing on
 # a >25% regression of the geometric-mean ratio:
 #
 #   1. merge engines — bench_fig5_scalability at a small scale with
-#      --compare-engines (every (n, θ) cell under the parallel, flat and
-#      hashed merge engines); gates on the flat/hashed stage.merge speedup
-#      vs bench/baselines/BENCH_rock_smoke.json.
+#      --compare-engines (every (n, θ) cell under the parallel engine and
+#      the hashed oracle, whose MergeRecords are differentially pinned to
+#      each other in tests/diag_differential_test.cc); gates on the
+#      parallel/hashed stage.merge speedup vs
+#      bench/baselines/BENCH_rock_smoke.json.
 #   2. neighbor engines — bench_neighbors_ablation --compare-engines
 #      (packed bit-plane engine vs the scalar per-pair oracle, graphs
 #      verified identical); gates on the packed/scalar stage.neighbors
@@ -31,18 +33,12 @@
 #      verified identical); gates on the direct/stream stage.append_label
 #      ratio vs bench/baselines/BENCH_stream_smoke.json, plus an absolute
 #      ≥ 10k rows/s floor on appended-row labeling throughput.
-#   7. parallel merge engine — reuses gate 1's report (the same
-#      --compare-engines run also times the parallel engine, whose
-#      MergeRecords are differentially pinned to flat/hashed in
-#      tests/diag_differential_test.cc); gates on the flat/parallel
-#      stage.merge speedup vs bench/baselines/BENCH_merge_smoke.json.
 #
 # Usage: tools/perf_smoke.sh [build-dir]   (default: build)
 #
 # To refresh the baselines after an intentional perf change:
 #   tools/perf_smoke.sh && \
 #     cp build/BENCH_rock_smoke.json bench/baselines/BENCH_rock_smoke.json && \
-#     cp build/BENCH_rock_smoke.json bench/baselines/BENCH_merge_smoke.json && \
 #     cp build/BENCH_neighbors_smoke.json \
 #         bench/baselines/BENCH_neighbors_smoke.json && \
 #     cp build/BENCH_links_smoke.json bench/baselines/BENCH_links_smoke.json && \
@@ -58,7 +54,6 @@ BUILD_DIR="${1:-build}"
 SCALE=0.02  # DB ≈ 2300 tx -> sample sizes 1000 and 2000 only
 BASELINE=bench/baselines/BENCH_rock_smoke.json
 REPORT="$BUILD_DIR/BENCH_rock_smoke.json"
-MRG_BASELINE=bench/baselines/BENCH_merge_smoke.json
 NBR_BASELINE=bench/baselines/BENCH_neighbors_smoke.json
 NBR_REPORT="$BUILD_DIR/BENCH_neighbors_smoke.json"
 LNK_BASELINE=bench/baselines/BENCH_links_smoke.json
@@ -78,14 +73,9 @@ echo "=== perf-smoke: bench_fig5_scalability $SCALE --compare-engines ==="
 ROCK_BENCH_JSON="$REPORT" \
     "$BUILD_DIR/bench/bench_fig5_scalability" "$SCALE" --compare-engines
 
-echo "=== perf-smoke: gate vs $BASELINE ==="
-python3 tools/check_perf_regression.py "$REPORT" "$BASELINE"
-
-# Gate 7 rides on the same report: the --compare-engines run above timed
-# the parallel engine too, so only the gate invocation differs.
-echo "=== perf-smoke: gate vs $MRG_BASELINE (parallel vs flat) ==="
-python3 tools/check_perf_regression.py "$REPORT" "$MRG_BASELINE" \
-    --engines=parallel,flat --stage=stage.merge
+echo "=== perf-smoke: gate vs $BASELINE (parallel vs hashed) ==="
+python3 tools/check_perf_regression.py "$REPORT" "$BASELINE" \
+    --engines=parallel,hashed --stage=stage.merge
 
 # Best-of-3 timing per cell: the neighbor stage is fast at smoke scale, so
 # a single rep is noisy enough to trip a ratio gate on a busy CI box.
