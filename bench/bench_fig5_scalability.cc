@@ -7,17 +7,14 @@
 // θ is faster because each transaction has fewer neighbors, making link
 // computation cheaper.
 //
-// Usage: bench_fig5_scalability [scale] [--compare-engines]
-//                               [--threads=N] [--merge-threads=N]
+// Usage: bench_fig5_scalability [scale] [--compare-engines] [--threads=N]
 //   scale             — multiplies the generated database size (default 1.0)
 //   --compare-engines — run every cell under both merge engines (parallel
 //                       and the hashed oracle) and report the
 //                       hashed/parallel stage.merge speedup
 //   --threads=N       — worker threads for the graph phases (neighbor +
 //                       link engines). Used by EXPERIMENTS.md's multi-core
-//                       stage table.
-//   --merge-threads=N — relink shards for the parallel merge engine; the
-//                       merge *sequence* stays serial at any setting.
+//                       stage table. The merge loop is serial.
 //
 // The headline table times the parallel engine (the default).
 //
@@ -54,12 +51,9 @@ int main(int argc, char** argv) {
   double scale = 1.0;
   bool compare_engines = false;
   size_t threads = 1;
-  size_t merge_threads = 1;
   for (int a = 1; a < argc; ++a) {
     if (std::strcmp(argv[a], "--compare-engines") == 0) {
       compare_engines = true;
-    } else if (std::strncmp(argv[a], "--merge-threads=", 16) == 0) {
-      merge_threads = static_cast<size_t>(std::atoll(argv[a] + 16));
     } else if (std::strncmp(argv[a], "--threads=", 10) == 0) {
       threads = static_cast<size_t>(std::atoll(argv[a] + 10));
     } else {
@@ -117,8 +111,7 @@ int main(int argc, char** argv) {
         opt.outlier_stop_multiple = 3.0;
         opt.min_cluster_support = 5;
         opt.merge_engine = engine;
-        opt.merge_threads = merge_threads;
-        opt.graph_threads = threads;
+        opt.num_threads = threads;
         Timer timer;
         auto result = RockClusterer(opt).Cluster(sim);
         if (!result.ok()) {
@@ -140,7 +133,6 @@ int main(int argc, char** argv) {
         perf.Param("theta", theta_str);
         perf.Param("engine", EngineName(engine));
         perf.Param("threads", std::to_string(threads));
-        perf.Param("merge_threads", std::to_string(merge_threads));
         perf.AddRunMetrics(result->metrics);
         breakdowns.emplace_back(label, std::move(result->metrics));
       }

@@ -1,7 +1,6 @@
 // bench_neighbors_ablation — comparison of the neighbor-graph construction
 // strategies on basket data (the O(n²) phase of §4.5):
 //   * exact serial all-pairs Jaccard (the paper's algorithm),
-//   * exact multithreaded all-pairs,
 //   * MinHash/LSH candidate generation + exact verification,
 // plus the end-to-end clustering alternatives at high θ:
 //   * full merge engine vs the link-component shortcut.
@@ -32,7 +31,6 @@
 #include "core/sampling.h"
 #include "diag/metrics.h"
 #include "graph/neighbor_engine.h"
-#include "graph/parallel.h"
 #include "similarity/jaccard.h"
 #include "synth/basket_generator.h"
 #include "synth/mushroom_generator.h"
@@ -58,20 +56,6 @@ void BM_NeighborsExactSerial(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NeighborsExactSerial)->Arg(1000)->Arg(2000)->Arg(4000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_NeighborsExactParallel(benchmark::State& state) {
-  TransactionDataset ds = MakeBaskets(static_cast<size_t>(state.range(0)));
-  TransactionJaccard sim(ds);
-  ParallelOptions opt;
-  opt.num_threads = static_cast<size_t>(state.range(1));
-  for (auto _ : state) {
-    auto g = ComputeNeighborsParallel(sim, 0.5, opt);
-    benchmark::DoNotOptimize(g->NumEdges());
-  }
-}
-BENCHMARK(BM_NeighborsExactParallel)
-    ->ArgsProduct({{1000, 2000, 4000}, {2, 4, 8}})
     ->Unit(benchmark::kMillisecond);
 
 // MinHash LSH candidates + exact verification: the packed engine's kLsh
@@ -130,22 +114,6 @@ void BM_NeighborsLshWideTx(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NeighborsLshWideTx)->Arg(1000)->Arg(2000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_LinksParallelThreads(benchmark::State& state) {
-  TransactionDataset ds = MakeBaskets(2000);
-  TransactionJaccard sim(ds);
-  auto graph = ComputeNeighbors(sim, 0.5);
-  ParallelOptions opt;
-  opt.num_threads = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    LinkMatrix links = opt.num_threads == 1
-                           ? ComputeLinks(*graph)
-                           : ComputeLinksParallel(*graph, opt);
-    benchmark::DoNotOptimize(links.size());
-  }
-}
-BENCHMARK(BM_LinksParallelThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
 void BM_ClusterMergeEngine(benchmark::State& state) {

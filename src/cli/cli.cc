@@ -271,7 +271,6 @@ struct RockFlagValues {
   size_t min_support = 2;
   size_t check_invariants = 0;
   size_t threads = 1;
-  size_t graph_threads = kGraphThreadsInherit;
   size_t row_chunk = 16;
   size_t lsh_bands = 0;
   size_t lsh_rows = 0;
@@ -279,7 +278,6 @@ struct RockFlagValues {
   std::string neighbor_engine = "packed";
   std::string link_engine = "packed";
   std::string merge_engine = "parallel";
-  size_t merge_threads = 1;
 };
 
 void RegisterRockFlags(FlagSet& flags, RockFlagValues* v) {
@@ -295,9 +293,6 @@ void RegisterRockFlags(FlagSet& flags, RockFlagValues* v) {
   flags.AddSize("threads", &v->threads,
                 "worker threads for the neighbor/link phases "
                 "(0 = all cores; results are identical at any count)");
-  flags.AddSize("graph-threads", &v->graph_threads,
-                "worker threads for just the neighbor/link phases "
-                "(default: follow --threads; 0 = all cores)");
   flags.AddSize("row-chunk", &v->row_chunk,
                 "rows claimed per parallel scheduling step "
                 "(with --threads > 1)");
@@ -317,9 +312,6 @@ void RegisterRockFlags(FlagSet& flags, RockFlagValues* v) {
   flags.AddString("merge-engine", &v->merge_engine,
                   "parallel | hashed merge engine (results are identical; "
                   "hashed is the reference oracle, parallel is faster)");
-  flags.AddSize("merge-threads", &v->merge_threads,
-                "worker threads for the parallel merge engine's sharded "
-                "relink (0 = all cores; results are identical)");
 }
 
 /// Resolves an engine-name flag against its (name, kind) table. On a miss
@@ -348,12 +340,10 @@ int ApplyRockFlags(const RockFlagValues& v, RockOptions* opt,
   opt->min_cluster_support = v.min_support;
   opt->diag.invariant_check_every = v.check_invariants;
   opt->num_threads = v.threads;
-  opt->graph_threads = v.graph_threads;
   opt->row_chunk = v.row_chunk;
   opt->lsh_bands = v.lsh_bands;
   opt->lsh_rows = v.lsh_rows;
   opt->lsh_seed = v.lsh_seed;
-  opt->merge_threads = v.merge_threads;
   const bool known =
       ParseEngineName("neighbor-engine", v.neighbor_engine,
                       {{"packed", NeighborEngineKind::kPacked},

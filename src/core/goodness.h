@@ -57,11 +57,10 @@ class GoodnessMeasure {
   double Goodness(uint64_t cross_links, size_t ni, size_t nj) const;
 
   /// Pre-fills the memo through size `max_size` so every later
-  /// ExpectedIntraLinks(n ≤ max_size) is a pure table read. Callers that
-  /// evaluate goodness from several threads (the sharded relink of
-  /// core/merge_parallel.cc) must reserve their size ceiling up front —
-  /// concurrent reads of a reserved table are race-free, concurrent lazy
-  /// growth is not.
+  /// ExpectedIntraLinks(n ≤ max_size) is a pure table read. Concurrent
+  /// reads of a reserved table are race-free; concurrent lazy growth is
+  /// not, so a caller that shares one measure across threads must reserve
+  /// its size ceiling up front.
   void Reserve(size_t max_size) const {
     if (max_size >= table_.size()) GrowAndGet(max_size);
   }

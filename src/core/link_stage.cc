@@ -4,25 +4,20 @@
 
 #include "core/merge_engine.h"
 #include "graph/link_engine.h"
-#include "graph/parallel.h"
 
 namespace rock::internal {
 
 LinkMatrix ComputeLinkStage(const NeighborGraph& graph,
                             const RockOptions& options,
                             diag::MetricsRegistry* metrics) {
-  const size_t graph_threads = options.EffectiveGraphThreads();
   if (options.link_engine == LinkEngineKind::kPacked) {
     PackedLinkOptions packed;
-    packed.num_threads = graph_threads;
+    packed.num_threads = options.num_threads;
     packed.row_chunk = options.row_chunk;
     packed.metrics = metrics;
     return ComputeLinksPacked(graph, packed);
   }
-  return graph_threads == 1
-             ? ComputeLinks(graph)
-             : ComputeLinksParallel(graph,
-                                    {graph_threads, options.row_chunk});
+  return ComputeLinks(graph);
 }
 
 }  // namespace rock::internal

@@ -3,13 +3,16 @@
 // The two interchangeable implementations of the Fig. 3 agglomerative
 // merge loop: one production engine and one oracle. Both consume a
 // prebuilt neighbor graph, run the link phase, and return a complete
-// RockResult; they differ only in data layout and scheduling:
+// RockResult; they differ only in data layout and bookkeeping, and both
+// run the merge loop on one thread (Fig. 3 merges one globally best pair
+// per step):
 //
 //   * parallel — interleaved (AoS) partner rows, elided no-op global-heap
-//                fixups, and a three-way sorted relink that shards into
-//                disjoint partner-id ranges over a persistent worker pool
-//                when RockOptions::merge_threads > 1. The default engine
-//                (core/merge_parallel.cc, DESIGN.md §12).
+//                fixups, memoized goodness, lazy best-cleaning and a
+//                three-way sorted relink. The default engine
+//                (core/merge_parallel.cc, DESIGN.md §12). Despite the
+//                name it is serial; the name stays because
+//                `--merge-engine=parallel` and the perf baselines use it.
 //   * hashed   — per-cluster std::unordered_map link tables, the original
 //                layout. Kept behind the same API as the reference oracle
 //                for differential tests and perf baselines
@@ -31,8 +34,8 @@ namespace rock::internal {
 RockResult RunHashedMergeEngine(const NeighborGraph& graph,
                                 const RockOptions& options);
 
-/// Runs the parallel sharded merge engine (interleaved rows, elided heap
-/// fixups, relink fan-out over RockOptions::merge_threads) — the default.
+/// Runs the production merge engine (interleaved rows, elided heap fixups,
+/// lazy best-cleaning) — the default.
 RockResult RunParallelMergeEngine(const NeighborGraph& graph,
                                   const RockOptions& options);
 

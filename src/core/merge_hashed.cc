@@ -17,7 +17,6 @@
 #include "core/criterion.h"
 #include "core/merge_engine.h"
 #include "diag/invariants.h"
-#include "graph/parallel.h"
 #include "util/updatable_heap.h"
 
 namespace rock::internal {

@@ -1,9 +1,10 @@
 // librock — core/merge_parallel.cc
 //
-// The parallel sharded merge engine (the default; DESIGN.md §12). Same
-// Fig. 3 algorithm and byte-identical results as the hashed oracle
-// (core/merge_hashed.cc); the greedy merge *sequence* stays serial — it is
-// inherently so — and the per-merge work is restructured for throughput:
+// The production merge engine (the default; DESIGN.md §12). Same Fig. 3
+// algorithm and byte-identical results as the hashed oracle
+// (core/merge_hashed.cc); the greedy merge sequence is serial — one
+// globally best pair per step — and the per-merge work is restructured for
+// throughput:
 //
 //   * Interleaved rows: each cluster's cross-links live in one vector of
 //     24-byte RowEntry{partner, count, goodness} records instead of three
@@ -11,8 +12,8 @@
 //     cluster's row touches one cache line instead of three — the relink
 //     is memory-bound on exactly that scatter.
 //   * Memoized goodness: GoodnessMeasure serves size^{1+2f(θ)} from a
-//     table (Reserve()d to the id ceiling up front, so shard workers read
-//     it race-free), and the merged cluster's own term is hoisted out of
+//     table (Reserve()d to the id ceiling up front, so the relink loop
+//     never grows it), and the merged cluster's own term is hoisted out of
 //     the relink loop. The remaining per-partner cost is two table loads,
 //     two subtractions and one division, evaluated in the exact same
 //     operation order as GoodnessMeasure::Goodness — bit-identical values.
@@ -39,42 +40,21 @@
 //     maximum), so eliding them is invisible. With lazy cleaning the
 //     stored priority moves only when the upper bound rises, so most
 //     heap traffic disappears outright.
-//   * Sharded relink (merge_threads > 1): the three-way sorted merge of
-//     u's and v's rows is split into disjoint partner-id ranges. Each
-//     shard relinks its range into per-shard scratch (its own slice of
-//     the merged row, its own changed-best list, its own counters);
-//     partner-side mutations are disjoint because a partner id belongs to
-//     exactly one shard. Scratch is stitched back together in shard (=
-//     ascending id) order, per-shard bests are folded left-to-right with
-//     the same strict > the serial scan uses, and heap fixups are applied
-//     serially afterwards — the result is provably independent of the
-//     shard count, so any merge_threads value yields byte-identical runs.
-//   * A persistent condvar-parked worker pool executes the shards.
-//     Fork-join per merge would dwarf the work; parking keeps idle
-//     workers silent, and relinks smaller than merge_shard_min never
-//     touch the pool at all (the serial loop is faster for them).
 //   * Periodic compaction sweep: every kSweepInterval merges the arena is
-//     walked in parallel chunks and rows dominated by stale entries are
-//     compacted — catching rows that went stale through weeding, which
-//     the per-touch compaction cannot see.
+//     walked and rows dominated by stale entries are compacted — catching
+//     rows that went stale through weeding, which the per-touch
+//     compaction cannot see.
 //
 // Metrics beyond the hashed oracle's set: merge.relink_partners,
 // merge.relink_dead_skipped, merge.relink_best_rescans,
-// merge.relink_compactions, heap.ops, merge.shards, merge.parallel_relinks,
-// merge.compact_sweeps, the stage.merge.relink / .heap /
-// .relink.parallel timers and the merge.threads gauge
-// (docs/OBSERVABILITY.md).
+// merge.relink_compactions, heap.ops, merge.compact_sweeps and the
+// stage.merge.relink / .heap timers (docs/OBSERVABILITY.md).
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <limits>
-#include <memory>
-#include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -83,7 +63,6 @@
 #include "core/criterion.h"
 #include "core/merge_engine.h"
 #include "diag/invariants.h"
-#include "util/thread_pool.h"
 #include "util/updatable_heap.h"
 
 namespace rock::internal {
@@ -126,109 +105,12 @@ struct ParClusterState {
 
 using HeapEntry = UpdatableHeap<ClusterId, double>::Entry;
 
-/// A persistent pool of condvar-parked workers executing shard jobs.
-/// Run(num_shards, job) has the caller participate; shards are claimed
-/// under the mutex (shards are coarse, so two lock round-trips per shard
-/// are noise, and mutex claiming kills the stale-worker/stolen-shard race
-/// an atomic counter would invite across epochs). Parked workers cost
-/// nothing between merges — essential when merge_threads exceeds the
-/// physical core count.
-class ShardPool {
- public:
-  explicit ShardPool(size_t num_threads) {
-    for (size_t t = 1; t < num_threads; ++t) {
-      workers_.emplace_back([this] { WorkerLoop(); });
-    }
-  }
-
-  ~ShardPool() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      shutdown_ = true;
-    }
-    cv_.notify_all();
-    for (auto& w : workers_) w.join();
-  }
-
-  ShardPool(const ShardPool&) = delete;
-  ShardPool& operator=(const ShardPool&) = delete;
-
-  /// Runs job(shard) for every shard in [0, num_shards), returning once
-  /// all shards completed. Must not be re-entered.
-  void Run(size_t num_shards, const std::function<void(size_t)>& job) {
-    if (workers_.empty() || num_shards <= 1) {
-      for (size_t s = 0; s < num_shards; ++s) job(s);
-      return;
-    }
-    uint64_t my_epoch;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      job_ = &job;
-      num_shards_ = num_shards;
-      next_shard_ = 0;
-      remaining_ = num_shards;
-      my_epoch = ++epoch_;
-    }
-    cv_.notify_all();
-    Drain(my_epoch, job);
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [this] { return remaining_ == 0; });
-    job_ = nullptr;
-  }
-
- private:
-  /// Claims and runs shards of `epoch` until none remain.
-  void Drain(uint64_t epoch, const std::function<void(size_t)>& job) {
-    while (true) {
-      size_t s;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (epoch_ != epoch || next_shard_ >= num_shards_) return;
-        s = next_shard_++;
-      }
-      job(s);
-      std::lock_guard<std::mutex> lock(mu_);
-      if (--remaining_ == 0) done_cv_.notify_all();
-    }
-  }
-
-  void WorkerLoop() {
-    uint64_t seen_epoch = 0;
-    while (true) {
-      const std::function<void(size_t)>* job;
-      uint64_t epoch;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock,
-                 [&] { return shutdown_ || epoch_ != seen_epoch; });
-        if (shutdown_) return;
-        seen_epoch = epoch_;
-        epoch = epoch_;
-        job = job_;
-      }
-      if (job != nullptr) Drain(epoch, *job);
-    }
-  }
-
-  std::mutex mu_;
-  std::condition_variable cv_;       // wakes workers on a new epoch
-  std::condition_variable done_cv_;  // wakes the caller on completion
-  std::vector<std::thread> workers_;
-  const std::function<void(size_t)>* job_ = nullptr;  // guarded by mu_
-  size_t num_shards_ = 0;                             // guarded by mu_
-  size_t next_shard_ = 0;                             // guarded by mu_
-  size_t remaining_ = 0;                              // guarded by mu_
-  uint64_t epoch_ = 0;                                // guarded by mu_
-  bool shutdown_ = false;                             // guarded by mu_
-};
-
 class ParallelMergeEngine {
  public:
   ParallelMergeEngine(const NeighborGraph& graph, const RockOptions& options)
       : options_(options),
         goodness_(options),
-        graph_(graph),
-        threads_(ResolveThreads(options.merge_threads)) {}
+        graph_(graph) {}
 
   RockResult Run() {
     Timer total_timer;
@@ -266,14 +148,8 @@ class ParallelMergeEngine {
 
     Timer merge_timer;
     // Every goodness argument is a cluster size (or a sum of two), all
-    // bounded by n — fill the memo once so shard workers only ever read.
+    // bounded by n — fill the memo once so the relink only ever reads.
     goodness_.Reserve(graph_.size());
-    if (threads_ > 1) {
-      pool_ = std::make_unique<ShardPool>(threads_);
-      scratch_.resize(threads_);
-    } else {
-      scratch_.resize(1);
-    }
     InitializeClusters(links);
     if (metrics_ != nullptr) {
       size_t local_entries = 0;
@@ -295,20 +171,16 @@ class ParallelMergeEngine {
     if (metrics_ != nullptr) {
       metrics_->RecordSeconds("stage.merge", result.stats.merge_seconds);
       metrics_->RecordSeconds("stage.merge.relink", relink_seconds_);
-      metrics_->RecordSeconds("stage.merge.relink.parallel",
-                              parallel_relink_seconds_);
       metrics_->RecordSeconds("stage.merge.heap", heap_seconds_);
       metrics_->RecordSeconds("stage.total", result.stats.total_seconds);
       metrics_->AddCounter("merge.merges", result.stats.num_merges);
-      metrics_->AddCounter("merge.goodness_updates", goodness_updates_);
+      // Every relinked partner gets exactly one goodness update.
+      metrics_->AddCounter("merge.goodness_updates", relink_partners_);
       metrics_->AddCounter("merge.relink_partners", relink_partners_);
       metrics_->AddCounter("merge.relink_dead_skipped", relink_dead_skipped_);
       metrics_->AddCounter("merge.relink_compactions", relink_compactions_);
       metrics_->AddCounter("merge.relink_best_rescans", best_rescans_);
-      metrics_->AddCounter("merge.shards", shards_run_);
-      metrics_->AddCounter("merge.parallel_relinks", parallel_relinks_);
       metrics_->AddCounter("merge.compact_sweeps", compact_sweeps_);
-      metrics_->SetGauge("merge.threads", static_cast<double>(threads_));
       metrics_->AddCounter("heap.ops", heap_ops_);
       metrics_->AddCounter("weed.clusters", result.stats.num_weeded_clusters);
       metrics_->AddCounter("weed.points", result.stats.num_weeded_points);
@@ -324,32 +196,6 @@ class ParallelMergeEngine {
   }
 
  private:
-  /// Per-shard relink scratch: the shard's slice of the merged row, the
-  /// partners whose best priority changed (heap fixups, applied serially
-  /// later), the shard's best candidate for the merged cluster, and local
-  /// counters. Persistent across merges so capacity is paid once.
-  struct ShardScratch {
-    std::vector<RowEntry> out;
-    std::vector<ClusterId> changed;
-    ClusterId best_key = 0;
-    double best_priority = kNoCandidate;
-    uint64_t partners = 0;
-    uint64_t dead_skipped = 0;
-    uint64_t compactions = 0;
-    uint64_t rescans = 0;
-
-    void Reset() {
-      out.clear();
-      changed.clear();
-      best_key = 0;
-      best_priority = kNoCandidate;
-      partners = 0;
-      dead_skipped = 0;
-      compactions = 0;
-      rescans = 0;
-    }
-  };
-
   void PruneIsolatedPoints() {
     for (size_t p = 0; p < graph_.size(); ++p) {
       if (graph_.Degree(p) < options_.min_neighbors) {
@@ -413,8 +259,8 @@ class ParallelMergeEngine {
   /// Recomputes a cluster's best live entry by scanning its row, clearing
   /// its dirty mark. Ascending partner order makes ties resolve toward the
   /// smaller id, matching UpdatableHeap's (priority desc, key asc) order.
-  void RecomputeBest(ParClusterState& s, uint64_t* rescans) const {
-    ++*rescans;
+  void RecomputeBest(ParClusterState& s) {
+    ++best_rescans_;
     s.best_priority = kNoCandidate;
     s.best_key = 0;
     s.dirty = false;
@@ -456,7 +302,7 @@ class ParallelMergeEngine {
         // Lazy cleaning: settle the top's true best and re-evaluate. The
         // stored value was an upper bound, so no cluster whose true best
         // exceeds this one can be hiding below it.
-        RecomputeBest(arena_[u], &best_rescans_);
+        RecomputeBest(arena_[u]);
         global_.InsertOrUpdate(u, arena_[u].best_priority);
         heap_ops_ += 1;
         continue;
@@ -492,9 +338,8 @@ class ParallelMergeEngine {
   /// Drops stale (dead-partner) entries once they dominate the row. The
   /// 2× threshold amortizes to O(1) per append; tiny rows are left alone.
   /// Compaction changes neither the live entries nor their order, so it is
-  /// invisible to results — safe inside a shard (the row belongs to the
-  /// shard) and inside the periodic sweep (between merges).
-  void MaybeCompact(ParClusterState& s, uint64_t* compactions) const {
+  /// invisible to results.
+  void MaybeCompact(ParClusterState& s) {
     if (s.row.size() < 8 || s.row.size() < 2 * s.live_links) {
       return;
     }
@@ -506,32 +351,70 @@ class ParallelMergeEngine {
     }
     assert(out == s.live_links);
     s.row.resize(out);
-    ++*compactions;
+    ++relink_compactions_;
   }
 
-  /// The relink kernel: three-way sorted merge of su.row[iu, eu) and
-  /// sv.row[iv, ev) — index ranges covering one partner-id shard (or, for
-  /// the serial path, the whole rows). Appends the merged entries to `out`
-  /// in ascending partner order, applies the partner-side updates (append,
-  /// live_links, best, compaction), and records partners whose best
-  /// priority changed into scratch.changed. Only clusters whose id falls
-  /// in this shard's range are touched, so concurrent shards never share
-  /// a row.
-  void RelinkRange(const ParClusterState& su, const ParClusterState& sv,
-                   size_t iu, size_t eu, size_t iv, size_t ev, ClusterId w,
-                   size_t nw, double t_nw, std::vector<RowEntry>& out,
-                   ShardScratch& scratch) {
-    const ClusterId u_id = relink_u_;
-    const ClusterId v_id = relink_v_;
+  /// The relink kernel: three-way sorted merge of u's and v's rows into
+  /// the merged cluster w's row (ascending partner order), applying the
+  /// partner-side updates (append, live_links, best, compaction) and
+  /// recording partners whose stored priority changed into changed_ for
+  /// the deferred heap fixups.
+  void Relink(ClusterId u, ClusterId v, ClusterId w, size_t nw) {
+    const ParClusterState& su = arena_[u];
+    const ParClusterState& sv = arena_[v];
+    ParClusterState& sw = arena_[w];
     const RowEntry* ru = su.row.data();
     const RowEntry* rv = sv.row.data();
+    const size_t eu = su.row.size();
+    const size_t ev = sv.row.size();
+    const double t_nw = goodness_.ExpectedIntraLinks(nw);
+    sw.row.reserve(su.live_links + sv.live_links);
+    changed_.clear();
+    uint64_t partners = 0;
+    uint64_t dead_skipped = 0;
+    ClusterId best_key = 0;
+    double best_priority = kNoCandidate;
 
-    // One partner consumed: goodness in the exact operation order of
-    // GoodnessMeasure::Goodness — (T[nx+nw] − T[nx]) − T[nw], then the
-    // divide — with T[nw] hoisted (same value, same order).
-    const auto emit = [&](ClusterId x, uint64_t count, bool from_both) {
+    // One pass over both rows in ascending partner order; each iteration
+    // skips dead entries, then consumes the smaller live partner (or both
+    // rows' entries for a shared partner, summing their counts).
+    size_t iu = 0;
+    size_t iv = 0;
+    while (true) {
+      while (iu < eu && !alive_[ru[iu].partner]) {
+        ++iu;
+        ++dead_skipped;
+      }
+      while (iv < ev && !alive_[rv[iv].partner]) {
+        ++iv;
+        ++dead_skipped;
+      }
+      ClusterId x;
+      uint64_t count;
+      bool from_both = false;
+      if (iu < eu && (iv == ev || ru[iu].partner < rv[iv].partner)) {
+        x = ru[iu].partner;
+        count = ru[iu].count;
+        ++iu;
+      } else if (iv < ev && (iu == eu || rv[iv].partner < ru[iu].partner)) {
+        x = rv[iv].partner;
+        count = rv[iv].count;
+        ++iv;
+      } else if (iu < eu) {
+        x = ru[iu].partner;
+        count = ru[iu].count + rv[iv].count;
+        from_both = true;
+        ++iu;
+        ++iv;
+      } else {
+        break;  // both rows exhausted
+      }
+
+      // Goodness in the exact operation order of GoodnessMeasure::Goodness
+      // — (T[nx+nw] − T[nx]) − T[nw], then the divide — with T[nw] hoisted
+      // (same value, same order).
       ParClusterState& sx = arena_[x];
-      ++scratch.partners;
+      ++partners;
       const size_t nx = sx.members.size();
       const double expected =
           (goodness_.ExpectedIntraLinks(nx + nw) -
@@ -549,73 +432,30 @@ class ParallelMergeEngine {
       }
       if (sx.dirty) {
         if (g > sx.best_priority) sx.best_priority = g;  // raise the bound
-      } else if (sx.best_key == u_id || sx.best_key == v_id) {
+      } else if (sx.best_key == u || sx.best_key == v) {
         sx.dirty = true;  // old best ≥ every live entry: still a bound
         if (g > sx.best_priority) sx.best_priority = g;
       } else if (g > sx.best_priority) {
         sx.best_priority = g;
         sx.best_key = w;
       }
-      MaybeCompact(sx, &scratch.compactions);
+      MaybeCompact(sx);
       // The global heap stores (x → stored priority); an unchanged value
       // makes InsertOrUpdate a content no-op, so only real changes queue a
       // fixup. Bitwise compare: goodness values are never NaN.
-      if (sx.best_priority != old_best) scratch.changed.push_back(x);
+      if (sx.best_priority != old_best) changed_.push_back(x);
 
-      out.push_back(RowEntry{x, count, g});  // x ascends across iterations
-      if (g > scratch.best_priority) {  // ties keep the smaller id
-        scratch.best_priority = g;
-        scratch.best_key = x;
-      }
-    };
-
-    while (iu < eu && iv < ev) {
-      const ClusterId pu = ru[iu].partner;
-      if (!alive_[pu]) {
-        ++iu;
-        ++scratch.dead_skipped;
-        continue;
-      }
-      const ClusterId pv = rv[iv].partner;
-      if (!alive_[pv]) {
-        ++iv;
-        ++scratch.dead_skipped;
-        continue;
-      }
-      if (pu < pv) {
-        emit(pu, ru[iu].count, false);
-        ++iu;
-      } else if (pv < pu) {
-        emit(pv, rv[iv].count, false);
-        ++iv;
-      } else {
-        emit(pu, ru[iu].count + rv[iv].count, true);
-        ++iu;
-        ++iv;
+      sw.row.push_back(RowEntry{x, count, g});  // x ascends across passes
+      if (g > best_priority) {  // ties keep the smaller id
+        best_priority = g;
+        best_key = x;
       }
     }
-    for (; iu < eu; ++iu) {
-      if (!alive_[ru[iu].partner]) {
-        ++scratch.dead_skipped;
-        continue;
-      }
-      emit(ru[iu].partner, ru[iu].count, false);
-    }
-    for (; iv < ev; ++iv) {
-      if (!alive_[rv[iv].partner]) {
-        ++scratch.dead_skipped;
-        continue;
-      }
-      emit(rv[iv].partner, rv[iv].count, false);
-    }
-  }
-
-  /// First row index with partner id >= bound.
-  static size_t LowerBound(const std::vector<RowEntry>& row, ClusterId bound) {
-    auto it = std::lower_bound(
-        row.begin(), row.end(), bound,
-        [](const RowEntry& e, ClusterId p) { return e.partner < p; });
-    return static_cast<size_t>(it - row.begin());
+    sw.live_links = sw.row.size();
+    sw.best_key = best_key;
+    sw.best_priority = best_priority;
+    relink_partners_ += partners;
+    relink_dead_skipped_ += dead_skipped;
   }
 
   void Merge(ClusterId u, ClusterId v, RockResult* result) {
@@ -645,129 +485,32 @@ class ParallelMergeEngine {
     alive_[u] = 0;
     alive_[v] = 0;
     alive_[w] = 1;
-    relink_u_ = u;
-    relink_v_ = v;
 
     Timer relink_timer;
-    const size_t live_total = su.live_links + sv.live_links;
-    const double t_nw = goodness_.ExpectedIntraLinks(nw);
-    sw.row.reserve(live_total);
-    scratch_[0].Reset();
-
-    // Shard only when the pool exists and the relink is big enough to
-    // amortize waking it; cap the shard count so every shard owns at least
-    // one split index of the longer row.
-    size_t num_shards = 1;
-    if (pool_ != nullptr && live_total >= options_.merge_shard_min) {
-      const size_t longest = std::max(su.row.size(), sv.row.size());
-      num_shards = std::min(
-          threads_, std::max<size_t>(
-                        1, live_total / options_.merge_shard_min + 1));
-      num_shards = std::min(num_shards, std::max<size_t>(1, longest));
-    }
-
-    if (num_shards <= 1) {
-      RelinkRange(su, sv, 0, su.row.size(), 0, sv.row.size(), w, nw, t_nw,
-                  sw.row, scratch_[0]);
-      FoldScratch(sw, scratch_[0]);
-    } else {
-      // Partner-id boundaries from evenly spaced indices of the longer
-      // row; the ranges partition the id space, so every entry of both
-      // rows lands in exactly one shard and shard outputs concatenate in
-      // ascending order.
-      const std::vector<RowEntry>& longer =
-          su.row.size() >= sv.row.size() ? su.row : sv.row;
-      shard_bounds_.assign(num_shards + 1, 0);
-      shard_bounds_[num_shards] = std::numeric_limits<ClusterId>::max();
-      for (size_t s = 1; s < num_shards; ++s) {
-        shard_bounds_[s] = longer[(s * longer.size()) / num_shards].partner;
-      }
-      for (size_t s = 0; s < num_shards; ++s) scratch_[s].Reset();
-      pool_->Run(num_shards, [&](size_t s) {
-        const ClusterId lo = shard_bounds_[s];
-        const ClusterId hi = shard_bounds_[s + 1];
-        const size_t bu = s == 0 ? 0 : LowerBound(su.row, lo);
-        const size_t eu =
-            s + 1 == num_shards ? su.row.size() : LowerBound(su.row, hi);
-        const size_t bv = s == 0 ? 0 : LowerBound(sv.row, lo);
-        const size_t ev =
-            s + 1 == num_shards ? sv.row.size() : LowerBound(sv.row, hi);
-        RelinkRange(su, sv, bu, eu, bv, ev, w, nw, t_nw, scratch_[s].out,
-                    scratch_[s]);
-      });
-      // Stitch in shard order: outputs cover ascending disjoint id
-      // ranges, and folding bests left-to-right with strict > reproduces
-      // the serial ascending scan's tie-breaks exactly.
-      for (size_t s = 0; s < num_shards; ++s) {
-        sw.row.insert(sw.row.end(), scratch_[s].out.begin(),
-                      scratch_[s].out.end());
-        FoldScratch(sw, scratch_[s]);
-      }
-      shards_run_ += num_shards;
-      ++parallel_relinks_;
-      parallel_relink_seconds_ += relink_timer.ElapsedSeconds();
-    }
-    sw.live_links = sw.row.size();
+    Relink(u, v, w, nw);
     ReleaseState(su);
     ReleaseState(sv);
     --num_live_;  // two die, one is born
     relink_seconds_ += relink_timer.ElapsedSeconds();
 
-    // Deferred global-heap fixups, in ascending partner order (shard
-    // concatenation preserves it): only partners whose best actually
-    // changed, plus w taking over u's still-present entry in one sift.
+    // Deferred global-heap fixups, in ascending partner order: only
+    // partners whose best actually changed, plus w taking over u's
+    // still-present entry in one sift.
     Timer heap_timer;
-    size_t fixups = 0;
-    for (size_t s = 0; s < (num_shards <= 1 ? size_t{1} : num_shards);
-         ++s) {
-      for (ClusterId x : scratch_[s].changed) {
-        global_.InsertOrUpdate(x, LocalBest(x));
-      }
-      fixups += scratch_[s].changed.size();
-    }
+    for (ClusterId x : changed_) global_.InsertOrUpdate(x, LocalBest(x));
     global_.ReplaceKey(u, w, LocalBest(w));
-    heap_ops_ += fixups + 1;
+    heap_ops_ += changed_.size() + 1;
     heap_seconds_ += heap_timer.ElapsedSeconds();
   }
 
-  /// Accumulates one shard's counters and best candidate into the engine
-  /// totals and the merged cluster. Called in shard order; strict >
-  /// matches the ascending serial scan's tie-breaking.
-  void FoldScratch(ParClusterState& sw, const ShardScratch& s) {
-    if (s.best_priority > sw.best_priority) {
-      sw.best_priority = s.best_priority;
-      sw.best_key = s.best_key;
-    }
-    goodness_updates_ += s.partners;
-    relink_partners_ += s.partners;
-    relink_dead_skipped_ += s.dead_skipped;
-    relink_compactions_ += s.compactions;
-    best_rescans_ += s.rescans;
-  }
-
-  /// Periodic dead-entry sweep: walks the arena in contiguous chunks (in
-  /// parallel when the pool exists — chunk ownership is disjoint) and
-  /// compacts rows now dominated by stale entries. Catches rows staled by
-  /// weeding, which no relink ever touches again.
+  /// Periodic dead-entry sweep: compacts every live row now dominated by
+  /// stale entries. Catches rows staled by weeding, which no relink ever
+  /// touches again.
   void SweepCompact() {
     ++compact_sweeps_;
-    const size_t limit = next_id_;
-    const size_t chunks = pool_ == nullptr ? 1 : threads_;
-    std::vector<uint64_t> compactions(chunks, 0);
-    const auto sweep_chunk = [&](size_t c) {
-      const size_t begin = (limit * c) / chunks;
-      const size_t end = (limit * (c + 1)) / chunks;
-      for (size_t id = begin; id < end; ++id) {
-        if (!alive_[id]) continue;
-        MaybeCompact(arena_[id], &compactions[c]);
-      }
-    };
-    if (pool_ == nullptr) {
-      sweep_chunk(0);
-    } else {
-      pool_->Run(chunks, sweep_chunk);
+    for (ClusterId id = 0; id < next_id_; ++id) {
+      if (alive_[id]) MaybeCompact(arena_[id]);
     }
-    for (uint64_t c : compactions) relink_compactions_ += c;
   }
 
   void WeedSmallClusters(RockResult* result) {
@@ -992,7 +735,6 @@ class ParallelMergeEngine {
   const RockOptions& options_;
   GoodnessMeasure goodness_;
   const NeighborGraph& graph_;
-  const size_t threads_;
 
   /// Per-run arena: slab per possible cluster id, allocated once. Slots of
   /// dead clusters are released (vectors freed) but never reused.
@@ -1001,28 +743,20 @@ class ParallelMergeEngine {
   UpdatableHeap<ClusterId, double> global_;
   std::vector<PointIndex> pruned_;         // sorted by construction
   std::vector<PointIndex> weeded_points_;
-  std::unique_ptr<ShardPool> pool_;        // null when threads_ == 1
-  std::vector<ShardScratch> scratch_;      // one per shard slot
-  std::vector<ClusterId> shard_bounds_;    // scratch, reused across merges
-  ClusterId relink_u_ = 0;                 // the pair being merged, for
-  ClusterId relink_v_ = 0;                 // best-invalidation checks
+  std::vector<ClusterId> changed_;         // relink scratch: heap fixups
   size_t num_live_ = 0;
   ClusterId next_id_ = 0;
 
   diag::MetricsRegistry* metrics_ = nullptr;  // null → metrics disabled
   diag::InvariantReport invariant_report_;
   size_t check_every_ = 0;  // 0 → invariant checks disabled
-  uint64_t goodness_updates_ = 0;
   uint64_t relink_partners_ = 0;
   uint64_t relink_dead_skipped_ = 0;
   uint64_t relink_compactions_ = 0;
   uint64_t best_rescans_ = 0;
   uint64_t heap_ops_ = 0;
-  uint64_t shards_run_ = 0;
-  uint64_t parallel_relinks_ = 0;
   uint64_t compact_sweeps_ = 0;
   double relink_seconds_ = 0.0;
-  double parallel_relink_seconds_ = 0.0;
   double heap_seconds_ = 0.0;
 };
 

@@ -32,9 +32,6 @@ Status RockOptions::Validate() const {
   if (row_chunk == 0) {
     return Status::InvalidArgument("row_chunk must be >= 1");
   }
-  if (merge_shard_min == 0) {
-    return Status::InvalidArgument("merge_shard_min must be >= 1");
-  }
   if ((lsh_bands == 0) != (lsh_rows == 0)) {
     return Status::InvalidArgument(
         "lsh_bands and lsh_rows must be set together (both 0 auto-tunes)");

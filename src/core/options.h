@@ -18,9 +18,6 @@
 
 namespace rock {
 
-/// Sentinel for RockOptions::graph_threads: inherit num_threads.
-inline constexpr size_t kGraphThreadsInherit = static_cast<size_t>(-1);
-
 /// The paper's market-basket estimate f(θ) = (1 − θ) / (1 + θ): each point
 /// of a cluster C_i has ≈ n_i^{f(θ)} neighbors inside C_i. Satisfies the
 /// paper's sanity checks f(1) = 0 (only identical points are neighbors) and
@@ -42,11 +39,10 @@ enum class MergeEngineKind {
   /// The original per-cluster `unordered_map` link tables. Kept as the
   /// reference oracle for differential tests and perf baselines.
   kHashed,
-  /// Interleaved (AoS) partner rows, elided no-op heap fixups, and a
-  /// relink that fans out over disjoint partner-id shards when
-  /// merge_threads > 1 — the default engine (core/merge_parallel.cc).
-  /// The merge *sequence* stays serial, so results are byte-identical to
-  /// the oracle at any thread count.
+  /// Interleaved (AoS) partner rows, elided no-op heap fixups, memoized
+  /// goodness and lazy best-cleaning — the default engine
+  /// (core/merge_parallel.cc). Like the Fig. 3 loop itself it runs
+  /// serially, and its results are byte-identical to the oracle.
   kParallel,
 };
 
@@ -79,8 +75,9 @@ enum class NeighborEngineKind {
 enum class LinkEngineKind {
   /// Bit-plane popcount engine (graph/link_engine.h): neighbor rows packed
   /// into 64-bit word planes, link(p, q) = popcount(row_p AND row_q) over
-  /// exactly the pairs sharing ≥ 1 neighbor — the default. Falls back to
-  /// the hashed scatter when the plane exceeds the packing budget.
+  /// exactly the pairs sharing ≥ 1 neighbor — the default. Switches to its
+  /// dense ScanCount scatter when that is cheaper or when the plane
+  /// exceeds the packing budget.
   kPacked,
   /// The original Fig. 4 pair-counting scatter (graph/links.cc). Kept
   /// verbatim as the reference oracle for differential tests and perf
@@ -129,23 +126,16 @@ struct RockOptions {
   /// Minimum size a cluster must have to survive weeding.
   size_t min_cluster_support = 2;
 
-  /// Worker threads for the neighbor-graph and link-computation phases
-  /// (the O(n²)-ish parts; the merge loop is inherently sequential).
-  /// 1 = serial (default), 0 = hardware concurrency. Results are
+  /// Worker threads for the packed neighbor-graph and link engines (the
+  /// O(n²)-ish parts; the merge loop and the scalar/hashed oracles are
+  /// serial). 1 = serial (default), 0 = hardware concurrency. Results are
   /// identical regardless of thread count.
   size_t num_threads = 1;
 
-  /// Rows claimed per scheduling step by the parallel graph phases
-  /// (ParallelOptions::row_chunk). Smaller chunks balance better on skewed
-  /// rows, larger chunks cut scheduling overhead. Ignored when
-  /// num_threads == 1.
+  /// Rows claimed per scheduling step by the parallel graph phases.
+  /// Smaller chunks balance better on skewed rows, larger chunks cut
+  /// scheduling overhead. Ignored when num_threads == 1.
   size_t row_chunk = 16;
-
-  /// Worker threads for just the neighbor-graph + link phases, overriding
-  /// num_threads there when set (kGraphThreadsInherit = follow
-  /// num_threads; 0 = hardware concurrency). Lets a pipeline keep the
-  /// serial default elsewhere while the two graph phases fan out.
-  size_t graph_threads = kGraphThreadsInherit;
 
   /// LSH banding for neighbor_engine kLsh / kAuto: bands b and rows per
   /// band r (signature length b·r, candidate recall 1 − (1 − θ^r)^b).
@@ -163,19 +153,10 @@ struct RockOptions {
   /// bit-identical results.
   MergeEngineKind merge_engine = MergeEngineKind::kParallel;
 
-  /// Worker threads for the parallel merge engine's per-merge work (the
-  /// sharded relink and the periodic compaction sweep; the merge sequence
-  /// itself is inherently serial). 1 = serial (default), 0 = hardware
-  /// concurrency. Results are byte-identical at any count. Ignored by the
-  /// hashed engine.
-  size_t merge_threads = 1;
-
-  /// Minimum combined live-entry count of the two merged clusters' rows
-  /// for a relink to fan out over the shard pool; smaller relinks run the
-  /// serial loop (waking workers costs more than a tiny merge). Only
-  /// consulted when merge_threads > 1; determinism tests lower it to 1 to
-  /// force the sharded path on small inputs.
-  size_t merge_shard_min = 256;
+  /// Threads the merge loop runs on: always 1, because Fig. 3 merges one
+  /// globally best pair per step. Readable (run reports stamp it), not
+  /// settable.
+  static constexpr size_t merge_threads = 1;
 
   /// Neighbor-graph engine; see NeighborEngineKind. Both engines produce
   /// bit-identical graphs.
@@ -201,12 +182,8 @@ struct RockOptions {
   /// rejected with FailedPrecondition instead of being silently ignored.
   std::string failpoints;
 
-  /// Thread count the graph phases actually run with: graph_threads
-  /// unless it is kGraphThreadsInherit, in which case num_threads.
-  size_t EffectiveGraphThreads() const {
-    return graph_threads == kGraphThreadsInherit ? num_threads
-                                                 : graph_threads;
-  }
+  /// Thread count the graph phases run with; the same as num_threads.
+  size_t EffectiveGraphThreads() const { return num_threads; }
 
   /// Checks parameter sanity.
   Status Validate() const;

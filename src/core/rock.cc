@@ -4,7 +4,6 @@
 #include "core/merge_engine.h"
 #include "diag/metrics.h"
 #include "graph/neighbor_engine.h"
-#include "graph/parallel.h"
 
 namespace rock {
 
@@ -13,20 +12,15 @@ Result<RockResult> RockClusterer::Cluster(const PointSimilarity& sim) const {
   diag::MetricsRegistry nbr_metrics;
   Timer nbr_timer;
   Result<NeighborGraph> graph = NeighborGraph{};
-  const size_t graph_threads = options_.EffectiveGraphThreads();
   switch (options_.neighbor_engine) {
     case NeighborEngineKind::kScalar:
-      graph = graph_threads == 1
-                  ? ComputeNeighbors(sim, options_.theta)
-                  : ComputeNeighborsParallel(
-                        sim, options_.theta,
-                        {graph_threads, options_.row_chunk});
+      graph = ComputeNeighbors(sim, options_.theta);
       break;
     case NeighborEngineKind::kPacked:
     case NeighborEngineKind::kLsh:
     case NeighborEngineKind::kAuto: {
       PackedNeighborOptions nopts;
-      nopts.num_threads = graph_threads;
+      nopts.num_threads = options_.num_threads;
       nopts.row_chunk = options_.row_chunk;
       if (options_.neighbor_engine == NeighborEngineKind::kLsh) {
         nopts.strategy = PackedStrategy::kLsh;

@@ -1,13 +1,11 @@
 #include "graph/link_engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
-#include "graph/parallel.h"
 #include "util/thread_pool.h"
 
 namespace rock {
@@ -16,23 +14,6 @@ namespace {
 /// Upper-triangular slice of one row: (partner q > p, link count) in
 /// ascending partner order.
 using UpperRow = std::vector<std::pair<PointIndex, LinkCount>>;
-
-/// Budget miss: run the Fig. 4 hashed scatter (the oracle path) and freeze
-/// it, so the caller still gets the frozen-CSR contract.
-LinkMatrix FallbackHashed(const NeighborGraph& graph,
-                          const PackedLinkOptions& options) {
-  diag::AddCounter(options.metrics, "links.fallback_hashed", 1);
-  LinkMatrix links =
-      options.num_threads == 1
-          ? ComputeLinks(graph)
-          : ComputeLinksParallel(graph,
-                                 {options.num_threads, options.row_chunk});
-  links.Freeze();
-  diag::AddCounter(options.metrics, "links.candidate_pairs", 0);
-  diag::AddCounter(options.metrics, "links.pairs_counted",
-                   links.NumNonZeroPairs());
-  return links;
-}
 
 /// Serial mirror + CSR assembly shared by both counting passes. Row r
 /// receives its mirrored partners p < r while the outer loop passes
@@ -75,49 +56,57 @@ LinkMatrix ScatterPass(const NeighborGraph& graph,
                        const PackedLinkOptions& options) {
   const size_t n = graph.size();
   const size_t words = (n + 63) / 64;
-  const size_t num_threads = ResolveThreads(options.num_threads);
+  const size_t workers = ResolveThreads(options.num_threads);
   diag::AddCounter(options.metrics, "links.scatter_pass", 1);
   std::vector<UpperRow> upper(n);
-  std::vector<uint64_t> found(std::max<size_t>(num_threads, 1), 0);
-  std::atomic<size_t> next{0};
-  const size_t chunk = std::max<size_t>(1, options.row_chunk);
-  ParallelInvoke(num_threads, [&](size_t worker) {
-    std::vector<LinkCount> count(n, 0);
-    std::vector<uint64_t> touched(words, 0);
-    while (true) {
-      const size_t begin = next.fetch_add(chunk);
-      if (begin >= n) break;
-      const size_t end = std::min(begin + chunk, n);
-      for (size_t p = begin; p < end; ++p) {
-        const auto& nbrs = graph.nbrlist[p];
-        if (nbrs.empty()) continue;
-        const auto pi = static_cast<PointIndex>(p);
-        for (const PointIndex i : nbrs) {
-          const auto& ni = graph.nbrlist[i];
-          // Partners q > p form a suffix of the ascending adjacency list.
-          for (auto it = std::upper_bound(ni.begin(), ni.end(), pi);
-               it != ni.end(); ++it) {
-            const size_t q = *it;
-            ++count[q];
-            touched[q >> 6] |= uint64_t{1} << (q & 63);
-          }
+  std::vector<uint64_t> found(workers, 0);
+  // Per-worker scratch, sized on the worker's first chunk.
+  struct Scratch {
+    std::vector<LinkCount> count;
+    std::vector<uint64_t> touched;
+  };
+  std::vector<Scratch> scratch(workers);
+  ParallelChunks(workers, n, options.row_chunk, [&](size_t worker,
+                                                   size_t begin,
+                                                   size_t end) {
+    Scratch& s = scratch[worker];
+    if (s.count.empty()) {
+      s.count.assign(n, 0);
+      s.touched.assign(words, 0);
+    }
+    // Raw pointers, so the hot loop need not reload the vectors' headers.
+    LinkCount* const count = s.count.data();
+    uint64_t* const touched = s.touched.data();
+    for (size_t p = begin; p < end; ++p) {
+      const auto& nbrs = graph.nbrlist[p];
+      if (nbrs.empty()) continue;
+      const auto pi = static_cast<PointIndex>(p);
+      for (const PointIndex i : nbrs) {
+        const auto& ni = graph.nbrlist[i];
+        // Partners q > p form a suffix of the ascending adjacency list.
+        for (auto it = std::upper_bound(ni.begin(), ni.end(), pi);
+             it != ni.end(); ++it) {
+          const size_t q = *it;
+          ++count[q];
+          touched[q >> 6] |= uint64_t{1} << (q & 63);
         }
-        UpperRow& out = upper[p];
-        for (size_t w = p >> 6; w < words; ++w) {
-          uint64_t bits = touched[w];
-          touched[w] = 0;
-          while (bits != 0) {
-            const auto q = static_cast<PointIndex>(
-                (w << 6) + static_cast<size_t>(std::countr_zero(bits)));
-            bits &= bits - 1;
-            out.emplace_back(q, count[q]);
-            count[q] = 0;
-          }
-        }
-        found[worker] += out.size();
       }
+      UpperRow& out = upper[p];
+      for (size_t w = p >> 6; w < words; ++w) {
+        uint64_t bits = touched[w];
+        touched[w] = 0;
+        while (bits != 0) {
+          const auto q = static_cast<PointIndex>(
+              (w << 6) + static_cast<size_t>(std::countr_zero(bits)));
+          bits &= bits - 1;
+          out.emplace_back(q, count[q]);
+          count[q] = 0;
+        }
+      }
+      found[worker] += out.size();
     }
   });
+  scratch.clear();
   uint64_t candidates = 0;
   for (const uint64_t f : found) candidates += f;
   diag::AddCounter(options.metrics, "links.candidate_pairs", candidates);
@@ -156,11 +145,11 @@ LinkMatrix ComputeLinksPacked(const NeighborGraph& graph,
                    ? PackedLinkStrategy::kScatter
                    : PackedLinkStrategy::kPlane;
   }
-  if (strategy == PackedLinkStrategy::kScatter) {
+  if (strategy == PackedLinkStrategy::kScatter ||
+      words > options.pack_budget_bytes / sizeof(uint64_t) / n) {
+    // The dense scatter needs no plane, so it is also the exact answer
+    // when the plane would not fit the packing budget.
     return ScatterPass(graph, options);
-  }
-  if (words > options.pack_budget_bytes / sizeof(uint64_t) / n) {
-    return FallbackHashed(graph, options);
   }
 
   // Plane: row i holds N(i) as an n-bit set. Rows are the adjacency matrix
@@ -170,9 +159,8 @@ LinkMatrix ComputeLinksPacked(const NeighborGraph& graph,
   {
     diag::ScopedTimer pack_timer(options.metrics, "stage.links.pack");
     plane.assign(n * words, 0);
-    ParallelChunks(options.num_threads, n,
-                   std::max<size_t>(1, options.row_chunk),
-                   [&](size_t begin, size_t end) {
+    ParallelChunks(options.num_threads, n, options.row_chunk,
+                   [&](size_t, size_t begin, size_t end) {
                      for (size_t i = begin; i < end; ++i) {
                        uint64_t* row = plane.data() + i * words;
                        for (const PointIndex q : graph.nbrlist[i]) {
@@ -187,47 +175,45 @@ LinkMatrix ComputeLinksPacked(const NeighborGraph& graph,
   // shares the witness neighbor i with p, so its link count is ≥ 1 and the
   // popcount sweep is never wasted. Each row's output depends only on the
   // graph, so any thread schedule produces the same upper rows.
-  const size_t num_threads = ResolveThreads(options.num_threads);
+  const size_t workers = ResolveThreads(options.num_threads);
   std::vector<UpperRow> upper(n);
-  std::vector<uint64_t> found(std::max<size_t>(num_threads, 1), 0);
-  std::atomic<size_t> next{0};
-  const size_t chunk = std::max<size_t>(1, options.row_chunk);
-  ParallelInvoke(num_threads, [&](size_t worker) {
-    std::vector<uint64_t> mask(words, 0);
-    while (true) {
-      const size_t begin = next.fetch_add(chunk);
-      if (begin >= n) break;
-      const size_t end = std::min(begin + chunk, n);
-      for (size_t p = begin; p < end; ++p) {
-        const auto& nbrs = graph.nbrlist[p];
-        if (nbrs.empty()) continue;
-        const size_t wp = p >> 6;
-        for (const PointIndex i : nbrs) {
-          const uint64_t* row = plane.data() + size_t{i} * words;
-          for (size_t w = wp; w < words; ++w) mask[w] |= row[w];
-        }
-        // Drop bits ≤ p from the first word: candidates must exceed p.
-        // (For p ≡ 63 mod 64 the mask value wraps to 0 and clears the whole
-        // word — unsigned wrap-around, well defined.)
-        mask[wp] &= ~((uint64_t{2} << (p & 63)) - 1);
-        const uint64_t* row_p = plane.data() + p * words;
-        UpperRow& out = upper[p];
-        for (size_t w = wp; w < words; ++w) {
-          uint64_t bits = mask[w];
-          mask[w] = 0;  // leave the scratch mask clean for the next row
-          while (bits != 0) {
-            const auto q = static_cast<PointIndex>(
-                (w << 6) + static_cast<size_t>(std::countr_zero(bits)));
-            bits &= bits - 1;
-            const uint64_t common = IntersectPopcount(
-                row_p, plane.data() + size_t{q} * words, words);
-            out.emplace_back(q, static_cast<LinkCount>(common));
-          }
-        }
-        found[worker] += out.size();
+  std::vector<uint64_t> found(workers, 0);
+  std::vector<std::vector<uint64_t>> masks(workers);
+  ParallelChunks(workers, n, options.row_chunk, [&](size_t worker,
+                                                   size_t begin,
+                                                   size_t end) {
+    if (masks[worker].empty()) masks[worker].assign(words, 0);
+    uint64_t* const mask = masks[worker].data();
+    for (size_t p = begin; p < end; ++p) {
+      const auto& nbrs = graph.nbrlist[p];
+      if (nbrs.empty()) continue;
+      const size_t wp = p >> 6;
+      for (const PointIndex i : nbrs) {
+        const uint64_t* row = plane.data() + size_t{i} * words;
+        for (size_t w = wp; w < words; ++w) mask[w] |= row[w];
       }
+      // Drop bits ≤ p from the first word: candidates must exceed p.
+      // (For p ≡ 63 mod 64 the mask value wraps to 0 and clears the whole
+      // word — unsigned wrap-around, well defined.)
+      mask[wp] &= ~((uint64_t{2} << (p & 63)) - 1);
+      const uint64_t* row_p = plane.data() + p * words;
+      UpperRow& out = upper[p];
+      for (size_t w = wp; w < words; ++w) {
+        uint64_t bits = mask[w];
+        mask[w] = 0;  // leave the scratch mask clean for the next row
+        while (bits != 0) {
+          const auto q = static_cast<PointIndex>(
+              (w << 6) + static_cast<size_t>(std::countr_zero(bits)));
+          bits &= bits - 1;
+          const uint64_t common = IntersectPopcount(
+              row_p, plane.data() + size_t{q} * words, words);
+          out.emplace_back(q, static_cast<LinkCount>(common));
+        }
+      }
+      found[worker] += out.size();
     }
   });
+  masks.clear();
   plane.clear();
   plane.shrink_to_fit();
 
@@ -235,7 +221,7 @@ LinkMatrix ComputeLinksPacked(const NeighborGraph& graph,
   for (const uint64_t f : found) candidates += f;
   diag::AddCounter(options.metrics, "links.candidate_pairs", candidates);
   // Enumeration is exact (every candidate stores a non-zero count), so the
-  // two counters agree on this path; they differ only on the fallback.
+  // two counters agree, as they do on the scatter pass.
   diag::AddCounter(options.metrics, "links.pairs_counted", candidates);
 
   return AssembleFromUpper(n, upper);

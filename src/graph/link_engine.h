@@ -41,9 +41,9 @@
 //
 // Packing is gated by a memory budget (kDefaultPackedBytes, shared with the
 // neighbor engine): an n-point graph needs n·⌈n/64⌉ plane words, and when
-// the plane is selected but exceeds the budget the engine falls back to
-// the hashed scatter and says so via the links.fallback_hashed counter
-// (the dense scatter needs no plane and ignores the budget).
+// the plane is selected but exceeds the budget the engine runs the dense
+// scatter instead — it needs no plane, ignores the budget, and reports
+// itself via links.scatter_pass.
 
 #ifndef ROCK_GRAPH_LINK_ENGINE_H_
 #define ROCK_GRAPH_LINK_ENGINE_H_
@@ -64,8 +64,8 @@ enum class PackedLinkStrategy {
   /// default outside tests and benches.
   kAuto,
   /// Bit-plane popcount sweep. Over the packing budget this degrades to
-  /// the hashed Fig. 4 oracle (links.fallback_hashed), preserving the
-  /// historical contract for callers that pinned the plane.
+  /// the dense scatter (links.scatter_pass), which is exact and parallel
+  /// too.
   kPlane,
   /// Dense ScanCount scatter; O(n) scratch per worker, no budget gate.
   kScatter,
@@ -84,16 +84,15 @@ struct PackedLinkOptions {
   PackedLinkStrategy strategy = PackedLinkStrategy::kAuto;
 
   /// Cap on total plane bytes (n · ⌈n/64⌉ words). Over budget the plane
-  /// pass falls back to the hashed Fig. 4 scatter; the dense scatter pass
-  /// is not affected.
+  /// pass falls back to the dense scatter pass, which needs no plane.
   size_t pack_budget_bytes = kDefaultPackedBytes;
 
   /// Metrics sink (may be null): links.candidate_pairs (pairs sharing ≥ 1
   /// neighbor; candidate enumeration is exact on both passes, so this
   /// equals the stored non-zero pairs), links.pairs_counted (stored
   /// non-zero pairs), links.scatter_pass (1 when the dense ScanCount pass
-  /// ran), links.fallback_hashed (1 when the budget forced the hashed
-  /// path) and the stage.links.pack timer.
+  /// ran, by choice or because the plane was over budget) and the
+  /// stage.links.pack timer.
   diag::MetricsRegistry* metrics = nullptr;
 };
 

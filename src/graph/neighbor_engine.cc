@@ -1,7 +1,7 @@
 #include "graph/neighbor_engine.h"
 
 #include <algorithm>
-#include <atomic>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -13,7 +13,6 @@
 #include "common/random.h"
 #include "common/status.h"
 #include "diag/metrics.h"
-#include "graph/parallel.h"
 #include "similarity/batch.h"
 #include "util/thread_pool.h"
 
@@ -38,9 +37,19 @@ uint64_t TotalPairs(size_t n) {
   return static_cast<uint64_t>(n) * static_cast<uint64_t>(n - 1) / 2;
 }
 
-// Per-worker edge buffers → degree count, reserve, fill, sort rows. Same
-// scatter as ComputeNeighborsParallel: buffer order varies with scheduling,
-// but the sorted rows (and so the graph) do not.
+// One worker's reusable buffers for the exact and LSH-verify passes,
+// indexed by ParallelChunks' worker argument. Cache-line aligned: the hot
+// loops grow these vectors, and workers writing vector headers that share
+// a line would contend on it.
+struct alignas(64) WorkerScratch {
+  std::vector<uint32_t> count;    // ScanCount intersection counts
+  std::vector<uint32_t> touched;  // rows to evaluate for the current row
+  std::vector<double> vals;       // batch similarity results
+};
+
+// Per-worker edge buffers → degree count, reserve, fill, sort rows. Buffer
+// order varies with scheduling, but the sorted rows (and so the graph) do
+// not.
 NeighborGraph ScatterEdges(size_t n, const std::vector<EdgeList>& edges) {
   NeighborGraph graph;
   graph.nbrlist.resize(n);
@@ -83,52 +92,49 @@ NeighborGraph WindowPass(const BatchSimilarity& batch, double theta,
     });
   }
 
-  const size_t num_threads = ResolveThreads(options.num_threads);
-  std::vector<EdgeList> edges(std::max<size_t>(num_threads, 1));
-  std::vector<uint64_t> evaluated(std::max<size_t>(num_threads, 1), 0);
-  std::atomic<size_t> next{0};
-  const size_t chunk = std::max<size_t>(1, options.row_chunk);
-  ParallelInvoke(num_threads, [&](size_t worker) {
+  const size_t workers = ResolveThreads(options.num_threads);
+  std::vector<EdgeList> edges(workers);
+  std::vector<uint64_t> evaluated(workers, 0);
+  std::vector<WorkerScratch> scratch(workers);
+  ParallelChunks(workers, n, options.row_chunk, [&](size_t worker,
+                                                   size_t begin,
+                                                   size_t end) {
     EdgeList& local = edges[worker];
-    std::vector<double> vals;
-    while (true) {
-      const size_t begin = next.fetch_add(chunk);
-      if (begin >= n) break;
-      const size_t end = std::min(begin + chunk, n);
-      for (size_t p = begin; p < end; ++p) {
-        const PointIndex i = order[p];
-        size_t hi = n;
-        if (bounded) {
-          // First position whose size fails the bound (sizes ascend along
-          // `order`, so the predicate is monotone).
-          const uint64_t sp = (*sizes)[i];
-          size_t lo = p + 1;
-          while (lo < hi) {
-            const size_t mid = lo + (hi - lo) / 2;
-            if (SizeBound(sp, (*sizes)[order[mid]]) >= theta) {
-              lo = mid + 1;
-            } else {
-              hi = mid;
-            }
+    std::vector<double>& v = scratch[worker].vals;
+    for (size_t p = begin; p < end; ++p) {
+      const PointIndex i = order[p];
+      size_t hi = n;
+      if (bounded) {
+        // First position whose size fails the bound (sizes ascend along
+        // `order`, so the predicate is monotone).
+        const uint64_t sp = (*sizes)[i];
+        size_t lo = p + 1;
+        while (lo < hi) {
+          const size_t mid = lo + (hi - lo) / 2;
+          if (SizeBound(sp, (*sizes)[order[mid]]) >= theta) {
+            lo = mid + 1;
+          } else {
+            hi = mid;
           }
-          hi = lo;
         }
-        if (hi <= p + 1) continue;
-        const size_t count = hi - (p + 1);
-        vals.resize(count);
-        batch.SimilarityBatch(i, order.data() + (p + 1), count, vals.data());
-        evaluated[worker] += count;
-        for (size_t t = 0; t < count; ++t) {
-          if (vals[t] >= theta) {
-            const PointIndex j = order[p + 1 + t];
-            local.emplace_back(std::min(i, j), std::max(i, j));
-          }
+        hi = lo;
+      }
+      if (hi <= p + 1) continue;
+      const size_t count = hi - (p + 1);
+      v.resize(count);
+      batch.SimilarityBatch(i, order.data() + (p + 1), count, v.data());
+      evaluated[worker] += count;
+      for (size_t t = 0; t < count; ++t) {
+        if (v[t] >= theta) {
+          const PointIndex j = order[p + 1 + t];
+          local.emplace_back(std::min(i, j), std::max(i, j));
         }
       }
     }
   });
   *pairs_evaluated = 0;
   for (const uint64_t e : evaluated) *pairs_evaluated += e;
+  scratch.clear();
   return ScatterEdges(n, edges);
 }
 
@@ -158,69 +164,111 @@ NeighborGraph CandidatePass(const BatchSimilarity& batch, double theta,
     }
   }
 
-  const size_t num_threads = ResolveThreads(options.num_threads);
-  std::vector<EdgeList> edges(std::max<size_t>(num_threads, 1));
-  std::vector<uint64_t> evaluated(std::max<size_t>(num_threads, 1), 0);
-  std::atomic<size_t> next{0};
-  const size_t chunk = std::max<size_t>(1, options.row_chunk);
-  ParallelInvoke(num_threads, [&](size_t worker) {
+  // `count` is sized on the worker's first chunk, so workers that never
+  // claim one allocate nothing.
+  const size_t workers = ResolveThreads(options.num_threads);
+  std::vector<EdgeList> edges(workers);
+  std::vector<uint64_t> evaluated(workers, 0);
+  std::vector<WorkerScratch> scratch(workers);
+  ParallelChunks(workers, n, options.row_chunk, [&](size_t worker,
+                                                   size_t begin,
+                                                   size_t end) {
     EdgeList& local = edges[worker];
-    std::vector<uint32_t> count(n, 0);
-    std::vector<uint32_t> touched;
-    std::vector<double> vals;
-    while (true) {
-      const size_t begin = next.fetch_add(chunk);
-      if (begin >= n) break;
-      const size_t end = std::min(begin + chunk, n);
-      for (size_t r = begin; r < end; ++r) {
-        const auto i = static_cast<PointIndex>(r);
-        touched.clear();
-        for (uint64_t k = view.row_offsets[r]; k < view.row_offsets[r + 1];
-             ++k) {
-          const uint32_t item = view.items[static_cast<size_t>(k)];
-          const uint32_t* plo = post.data() + post_off[item];
-          const uint32_t* phi = post.data() + post_off[item + 1];
-          // Rows > r form a suffix of the ascending posting list.
-          for (const uint32_t* it = std::upper_bound(plo, phi, i); it != phi;
-               ++it) {
-            if (count[*it]++ == 0) touched.push_back(*it);
-          }
+    WorkerScratch& w = scratch[worker];
+    if (w.count.empty()) w.count.assign(n, 0);
+    uint32_t* const count = w.count.data();
+    for (size_t r = begin; r < end; ++r) {
+      const auto i = static_cast<PointIndex>(r);
+      w.touched.clear();
+      for (uint64_t k = view.row_offsets[r]; k < view.row_offsets[r + 1];
+           ++k) {
+        const uint32_t item = view.items[static_cast<size_t>(k)];
+        const uint32_t* plo = post.data() + post_off[item];
+        const uint32_t* phi = post.data() + post_off[item + 1];
+        // Rows > r form a suffix of the ascending posting list.
+        for (const uint32_t* it = std::upper_bound(plo, phi, i); it != phi;
+             ++it) {
+          if (count[*it]++ == 0) w.touched.push_back(*it);
         }
-        if (sizes != nullptr) {
-          const uint64_t si = (*sizes)[r];
-          for (const uint32_t j : touched) {
-            const uint64_t inter = count[j];
-            count[j] = 0;
-            const uint64_t sj = (*sizes)[j];
-            if (SizeBound(std::min(si, sj), std::max(si, sj)) < theta) {
-              continue;
-            }
-            ++evaluated[worker];
-            // Set-Jaccard contract (batch.h): this is the exact double the
-            // per-pair oracle computes. uni ≥ 1 because an item is shared.
-            const uint64_t uni = si + sj - inter;
-            const double s =
-                static_cast<double>(inter) / static_cast<double>(uni);
-            if (s >= theta) local.emplace_back(i, j);
+      }
+      if (sizes != nullptr) {
+        const uint64_t si = (*sizes)[r];
+        for (const uint32_t j : w.touched) {
+          const uint64_t inter = count[j];
+          count[j] = 0;
+          const uint64_t sj = (*sizes)[j];
+          if (SizeBound(std::min(si, sj), std::max(si, sj)) < theta) {
+            continue;
           }
-        } else {
-          vals.resize(touched.size());
-          if (!touched.empty()) {
-            batch.SimilarityBatch(r, touched.data(), touched.size(),
-                                  vals.data());
-          }
-          evaluated[worker] += touched.size();
-          for (size_t t = 0; t < touched.size(); ++t) {
-            count[touched[t]] = 0;
-            if (vals[t] >= theta) local.emplace_back(i, touched[t]);
-          }
+          ++evaluated[worker];
+          // Set-Jaccard contract (batch.h): this is the exact double the
+          // per-pair oracle computes. uni ≥ 1 because an item is shared.
+          const uint64_t uni = si + sj - inter;
+          const double s =
+              static_cast<double>(inter) / static_cast<double>(uni);
+          if (s >= theta) local.emplace_back(i, j);
+        }
+      } else {
+        w.vals.resize(w.touched.size());
+        if (!w.touched.empty()) {
+          batch.SimilarityBatch(r, w.touched.data(), w.touched.size(),
+                                w.vals.data());
+        }
+        evaluated[worker] += w.touched.size();
+        for (size_t t = 0; t < w.touched.size(); ++t) {
+          count[w.touched[t]] = 0;
+          if (w.vals[t] >= theta) local.emplace_back(i, w.touched[t]);
         }
       }
     }
   });
   *pairs_evaluated = 0;
   for (const uint64_t e : evaluated) *pairs_evaluated += e;
+  scratch.clear();
   return ScatterEdges(n, edges);
+}
+
+// Sorts `keys` ascending and drops duplicates, sharded over `num_threads`
+// workers (segment sorts in parallel, then a merge ladder). The result is
+// the sorted unique multiset — identical at any thread count — which is
+// what the LSH pass's determinism contract relies on.
+void SortUniqueParallel(std::vector<uint64_t>* keys, size_t num_threads) {
+  const size_t n = keys->size();
+  // Below ~64k keys the fork-join overhead beats the sort it would shard.
+  if (num_threads <= 1 || n < (size_t{1} << 16)) {
+    std::sort(keys->begin(), keys->end());
+    keys->erase(std::unique(keys->begin(), keys->end()), keys->end());
+    return;
+  }
+
+  // Near-equal segments, sorted in parallel.
+  std::vector<size_t> bounds(num_threads + 1);
+  for (size_t t = 0; t <= num_threads; ++t) bounds[t] = n * t / num_threads;
+  ParallelInvoke(num_threads, [&](size_t t) {
+    std::sort(keys->begin() + static_cast<ptrdiff_t>(bounds[t]),
+              keys->begin() + static_cast<ptrdiff_t>(bounds[t + 1]));
+  });
+
+  // Merge ladder: segment width doubles per round, each merge claimed by
+  // one worker. The final sorted order is independent of scheduling.
+  for (size_t width = 1; width < num_threads; width *= 2) {
+    std::vector<std::array<size_t, 3>> merges;  // {lo, mid, hi}
+    for (size_t t = 0; t + width < num_threads; t += 2 * width) {
+      merges.push_back({bounds[t], bounds[t + width],
+                        bounds[std::min(t + 2 * width, num_threads)]});
+    }
+    ParallelChunks(std::min(num_threads, merges.size()), merges.size(), 1,
+                   [&](size_t, size_t m0, size_t m1) {
+                     for (size_t m = m0; m < m1; ++m) {
+                       const auto [lo, mid, hi] = merges[m];
+                       std::inplace_merge(
+                           keys->begin() + static_cast<ptrdiff_t>(lo),
+                           keys->begin() + static_cast<ptrdiff_t>(mid),
+                           keys->begin() + static_cast<ptrdiff_t>(hi));
+                     }
+                   });
+  }
+  keys->erase(std::unique(keys->begin(), keys->end()), keys->end());
 }
 
 // MinHash LSH banding pass: per-row signatures → per-band bucket keys →
@@ -241,8 +289,7 @@ NeighborGraph LshPass(const BatchSimilarity& batch, double theta,
   const size_t bands = options.lsh.num_bands;
   const size_t rows_per_band = options.lsh.rows_per_band;
   const size_t sig_len = bands * rows_per_band;
-  const size_t num_threads = ResolveThreads(options.num_threads);
-  const size_t workers = std::max<size_t>(num_threads, 1);
+  const size_t workers = ResolveThreads(options.num_threads);
   const auto row_empty = [&view](size_t r) {
     return view.row_offsets[r + 1] == view.row_offsets[r];
   };
@@ -259,8 +306,8 @@ NeighborGraph LshPass(const BatchSimilarity& batch, double theta,
     if (row_empty(r)) ++empty_rows;
   }
   *skipped_empty = empty_rows;
-  ParallelChunks(num_threads, n, std::max<size_t>(1, options.row_chunk),
-                 [&](size_t begin, size_t end) {
+  ParallelChunks(workers, n, options.row_chunk,
+                 [&](size_t, size_t begin, size_t end) {
                    for (size_t r = begin; r < end; ++r) {
                      if (row_empty(r)) continue;
                      const uint64_t off = view.row_offsets[r];
@@ -276,7 +323,7 @@ NeighborGraph LshPass(const BatchSimilarity& batch, double theta,
   // buffer. Output is keyed by band — not by worker — so the concatenation
   // below is schedule-independent.
   std::vector<std::vector<uint64_t>> band_pairs(bands);
-  ParallelChunks(num_threads, bands, 1, [&](size_t b0, size_t b1) {
+  ParallelChunks(workers, bands, 1, [&](size_t, size_t b0, size_t b1) {
     std::vector<std::pair<uint64_t, uint32_t>> keys;
     keys.reserve(n - empty_rows);
     for (size_t band = b0; band < b1; ++band) {
@@ -318,7 +365,7 @@ NeighborGraph LshPass(const BatchSimilarity& batch, double theta,
     bp.clear();
     bp.shrink_to_fit();
   }
-  SortUniqueParallel(&candidates, num_threads);
+  SortUniqueParallel(&candidates, workers);
   *candidates_out = candidates.size();
 
   // Exact verification, sharded over the candidate array. Runs of equal
@@ -328,48 +375,45 @@ NeighborGraph LshPass(const BatchSimilarity& batch, double theta,
   // argument as the window pass).
   std::vector<EdgeList> edges(workers);
   std::vector<uint64_t> evaluated(workers, 0);
-  std::atomic<size_t> next{0};
+  std::vector<WorkerScratch> scratch(workers);
   constexpr size_t kVerifyChunk = 1024;
-  ParallelInvoke(num_threads, [&](size_t worker) {
+  ParallelChunks(workers, candidates.size(), kVerifyChunk, [&](size_t worker,
+                                                              size_t begin,
+                                                              size_t end) {
     EdgeList& local = edges[worker];
-    std::vector<uint32_t> js;
-    std::vector<double> vals;
-    while (true) {
-      const size_t begin = next.fetch_add(kVerifyChunk);
-      if (begin >= candidates.size()) break;
-      const size_t end = std::min(begin + kVerifyChunk, candidates.size());
-      size_t p = begin;
-      while (p < end) {
-        const auto i = static_cast<PointIndex>(candidates[p] >> 32);
-        size_t run = p;
-        js.clear();
-        while (run < end && static_cast<PointIndex>(candidates[run] >> 32) ==
-                                i) {
-          const auto j =
-              static_cast<uint32_t>(candidates[run] & 0xffffffffu);
-          if (sizes == nullptr ||
-              SizeBound(std::min((*sizes)[i], (*sizes)[j]),
-                        std::max((*sizes)[i], (*sizes)[j])) >= theta) {
-            js.push_back(j);
-          }
-          ++run;
+    std::vector<uint32_t>& js = scratch[worker].touched;
+    std::vector<double>& vals = scratch[worker].vals;
+    size_t p = begin;
+    while (p < end) {
+      const auto i = static_cast<PointIndex>(candidates[p] >> 32);
+      size_t run = p;
+      js.clear();
+      while (run < end &&
+             static_cast<PointIndex>(candidates[run] >> 32) == i) {
+        const auto j = static_cast<uint32_t>(candidates[run] & 0xffffffffu);
+        if (sizes == nullptr ||
+            SizeBound(std::min((*sizes)[i], (*sizes)[j]),
+                      std::max((*sizes)[i], (*sizes)[j])) >= theta) {
+          js.push_back(j);
         }
-        if (!js.empty()) {
-          vals.resize(js.size());
-          batch.SimilarityBatch(i, js.data(), js.size(), vals.data());
-          evaluated[worker] += js.size();
-          for (size_t t = 0; t < js.size(); ++t) {
-            if (vals[t] >= theta) {
-              local.emplace_back(i, static_cast<PointIndex>(js[t]));
-            }
-          }
-        }
-        p = run;
+        ++run;
       }
+      if (!js.empty()) {
+        vals.resize(js.size());
+        batch.SimilarityBatch(i, js.data(), js.size(), vals.data());
+        evaluated[worker] += js.size();
+        for (size_t t = 0; t < js.size(); ++t) {
+          if (vals[t] >= theta) {
+            local.emplace_back(i, static_cast<PointIndex>(js[t]));
+          }
+        }
+      }
+      p = run;
     }
   });
   *pairs_evaluated = 0;
   for (const uint64_t e : evaluated) *pairs_evaluated += e;
+  scratch.clear();
   return ScatterEdges(n, edges);
 }
 
@@ -468,13 +512,9 @@ Result<NeighborGraph> ComputeNeighborsPacked(
   }
   if (batch == nullptr) {
     // No batch kernel (expert similarity, or packing over budget): the
-    // scalar engines are the answer, not an error.
+    // serial scalar oracle is the answer, not an error.
     diag::AddCounter(options.metrics, "neighbors.fallback_scalar", 1);
-    auto graph = options.num_threads == 1
-                     ? ComputeNeighbors(sim, theta)
-                     : ComputeNeighborsParallel(
-                           sim, theta,
-                           {options.num_threads, options.row_chunk});
+    auto graph = ComputeNeighbors(sim, theta);
     if (graph.ok()) {
       diag::AddCounter(options.metrics, "neighbors.pairs_evaluated",
                        TotalPairs(sim.size()));

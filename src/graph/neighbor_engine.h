@@ -1,10 +1,10 @@
 // librock — graph/neighbor_engine.h
 //
-// θ-pruned packed neighbor-graph engine. The scalar engines in neighbors.h /
-// parallel.h evaluate all n²/2 pairs through a virtual per-pair call; this
-// engine consumes a similarity's BatchSimilarity (similarity/batch.h) and
-// cuts the work two independent ways while staying bit-identical to the
-// scalar oracle at any thread count:
+// θ-pruned packed neighbor-graph engine. The scalar oracle in neighbors.h
+// evaluates all n²/2 pairs through a virtual per-pair call; this engine
+// consumes a similarity's BatchSimilarity (similarity/batch.h) and cuts the
+// work two independent ways while staying bit-identical to the scalar
+// oracle at any thread count:
 //
 //   * window pruning — points sorted by set size; a pair (i, j) with sizes
 //     s_min ≤ s_max can only reach sim ≥ θ when s_min/s_max ≥ θ (the §3.1
@@ -88,7 +88,7 @@ struct PackedNeighborOptions {
   /// are bit-identical at any value; the LSH pass is deterministic for a
   /// fixed lsh.seed at any value.
   size_t num_threads = 1;
-  /// Rows claimed per scheduling step (as ParallelOptions::row_chunk).
+  /// Rows claimed per scheduling step by the parallel passes.
   size_t row_chunk = 16;
   /// Pruning pass selection; kAuto outside tests.
   PackedStrategy strategy = PackedStrategy::kAuto;
@@ -113,7 +113,8 @@ struct PackedNeighborOptions {
 /// recall per LshOptions), deterministic for a fixed seed at any thread
 /// count. When the similarity has no batch kernel (MakeBatch() == nullptr,
 /// e.g. expert-supplied similarities or a packing over the memory budget),
-/// falls back to the scalar engine and counts neighbors.fallback_scalar.
+/// falls back to the serial scalar oracle and counts
+/// neighbors.fallback_scalar.
 Result<NeighborGraph> ComputeNeighborsPacked(
     const PointSimilarity& sim, double theta,
     const PackedNeighborOptions& options = {});

@@ -1,13 +1,16 @@
 // librock — util/thread_pool.h
 //
-// Minimal fork-join helpers for the parallel neighbor/link computations
-// (graph/parallel.h). Workloads here are large, coarse-grained and
-// CPU-bound, so plain std::thread fork-join per call is the right shape —
-// no task queue, no futures.
+// The batch path's one thread abstraction: fork-join helpers for the
+// packed neighbor and link engines (graph/neighbor_engine.cc,
+// graph/link_engine.cc), the sharded disk labeler and the serve workers.
+// Workloads here are large, coarse-grained and CPU-bound, so plain
+// std::thread fork-join per call is the right shape — no task queue, no
+// futures.
 
 #ifndef ROCK_UTIL_THREAD_POOL_H_
 #define ROCK_UTIL_THREAD_POOL_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <functional>
@@ -44,22 +47,25 @@ inline void ParallelInvoke(size_t num_threads,
 
 /// Dynamic chunked loop over [0, total): workers repeatedly claim
 /// `chunk`-sized index ranges from a shared counter and pass them to
-/// fn(begin, end). Self-balancing for skewed per-index costs.
+/// fn(worker, begin, end), with worker < ResolveThreads(num_threads) so
+/// callers can index per-worker scratch by it. Self-balancing for skewed
+/// per-index costs. A single worker, or a range that fits in one chunk,
+/// runs inline as fn(0, 0, total).
 inline void ParallelChunks(
     size_t num_threads, size_t total, size_t chunk,
-    const std::function<void(size_t, size_t)>& fn) {
+    const std::function<void(size_t, size_t, size_t)>& fn) {
   num_threads = ResolveThreads(num_threads);
   if (chunk == 0) chunk = 1;
   if (num_threads <= 1 || total <= chunk) {
-    if (total > 0) fn(0, total);
+    if (total > 0) fn(0, 0, total);
     return;
   }
   std::atomic<size_t> next{0};
-  ParallelInvoke(num_threads, [&](size_t) {
+  ParallelInvoke(num_threads, [&](size_t worker) {
     while (true) {
       const size_t begin = next.fetch_add(chunk);
       if (begin >= total) break;
-      fn(begin, std::min(begin + chunk, total));
+      fn(worker, begin, std::min(begin + chunk, total));
     }
   });
 }

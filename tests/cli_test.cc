@@ -328,6 +328,24 @@ TEST_F(CliTest, EngineFlagsAreValidatedIdenticallyAcrossSubcommands) {
       EXPECT_EQ(out, error_line);
     }
   }
+  // Thread knobs that no longer exist: the shared parser rejects them with
+  // the same exit code and error line (the flag help that follows is
+  // per-subcommand).
+  const std::pair<std::string, std::string> removed_flags[] = {
+      {"--graph-threads=2",
+       "error: InvalidArgument: unknown flag --graph-threads\n"},
+      {"--merge-threads=2",
+       "error: InvalidArgument: unknown flag --merge-threads\n"},
+  };
+  for (const auto& [flag, error_line] : removed_flags) {
+    for (std::vector<std::string> args : commands) {
+      SCOPED_TRACE(args.front() + " " + flag);
+      args.push_back(flag);
+      auto [code, out] = Run(args);
+      EXPECT_EQ(code, 2);
+      EXPECT_EQ(out.substr(0, out.find('\n') + 1), error_line);
+    }
+  }
 }
 
 TEST_F(CliTest, GenMushroomScaled) {
@@ -392,8 +410,7 @@ TEST_F(CliTest, MetricsJsonGoldenSchema) {
 
   // Stage list, with values unmasked — stages are stable across machines.
   EXPECT_NE(json.find("\"stages\": [\"links\", \"links.pack\", \"merge\", "
-                      "\"merge.heap\", \"merge.relink\", "
-                      "\"merge.relink.parallel\", \"neighbors\", "
+                      "\"merge.heap\", \"merge.relink\", \"neighbors\", "
                       "\"neighbors.pack\", \"total\"]"),
             std::string::npos)
       << json;
@@ -409,7 +426,6 @@ TEST_F(CliTest, MetricsJsonGoldenSchema) {
       "stage.merge",
       "stage.merge.heap",
       "stage.merge.relink",
-      "stage.merge.relink.parallel",
       "stage.neighbors", "stage.neighbors.pack",
       "stage.total",
       "neighbors.pairs_evaluated",
@@ -435,10 +451,7 @@ TEST_F(CliTest, MetricsJsonGoldenSchema) {
       "merge.relink_dead_skipped",
       "merge.relink_compactions",
       "merge.relink_best_rescans",
-      "merge.shards",
-      "merge.parallel_relinks",
       "merge.compact_sweeps",
-      "merge.threads",
       "weed.clusters",   "weed.points",
       "graph.average_degree",
       "criterion.value",

@@ -1,6 +1,7 @@
-// Differential tests: the parallel graph algorithms must be bit-identical
-// to their serial counterparts on randomized Jaccard datasets across θ and
-// thread counts, including the degenerate graphs (no edges, complete graph).
+// Differential tests: the packed graph engines, run at any thread count,
+// must be bit-identical to the serial oracles on randomized Jaccard
+// datasets across θ, including the degenerate graphs (no edges, complete
+// graph), and the production merge engine must match the hashed oracle.
 // Equality is asserted structurally AND through the diag invariant oracles,
 // so a disagreement reports which layer diverged.
 
@@ -21,9 +22,10 @@
 #include "data/disk_store.h"
 #include "data/transaction.h"
 #include "diag/invariants.h"
+#include "graph/link_engine.h"
 #include "graph/links.h"
+#include "graph/neighbor_engine.h"
 #include "graph/neighbors.h"
-#include "graph/parallel.h"
 #include "similarity/jaccard.h"
 #include "synth/basket_generator.h"
 #include "test_support.h"
@@ -80,9 +82,9 @@ TEST_P(DifferentialTest, ParallelMatchesSerial) {
 
   auto serial = ComputeNeighbors(sim, theta);
   ASSERT_TRUE(serial.ok());
-  ParallelOptions par;
-  par.num_threads = threads;
-  auto parallel = ComputeNeighborsParallel(sim, theta, par);
+  PackedNeighborOptions nbr;
+  nbr.num_threads = threads;
+  auto parallel = ComputeNeighborsPacked(sim, theta, nbr);
   ASSERT_TRUE(parallel.ok());
   ExpectGraphsIdentical(*serial, *parallel);
 
@@ -91,8 +93,10 @@ TEST_P(DifferentialTest, ParallelMatchesSerial) {
   diag::CheckNeighborGraph(*parallel, &report);
   EXPECT_TRUE(report.ok()) << report.violations().front().detail;
 
+  PackedLinkOptions lnk;
+  lnk.num_threads = threads;
   const LinkMatrix serial_links = ComputeLinks(*serial);
-  const LinkMatrix parallel_links = ComputeLinksParallel(*serial, par);
+  const LinkMatrix parallel_links = ComputeLinksPacked(*serial, lnk);
   ExpectLinksIdentical(serial_links, parallel_links);
 
   diag::InvariantReport link_report;
@@ -125,14 +129,17 @@ TEST_P(DifferentialSeedTest, ParallelMatchesSerialAcrossSeeds) {
 
   auto serial = ComputeNeighbors(sim, 0.5);
   ASSERT_TRUE(serial.ok());
-  ParallelOptions par;
-  par.num_threads = 4;
-  par.row_chunk = 3;  // force many scheduling steps on a small input
-  auto parallel = ComputeNeighborsParallel(sim, 0.5, par);
+  PackedNeighborOptions nbr;
+  nbr.num_threads = 4;
+  nbr.row_chunk = 3;  // force many scheduling steps on a small input
+  auto parallel = ComputeNeighborsPacked(sim, 0.5, nbr);
   ASSERT_TRUE(parallel.ok());
   ExpectGraphsIdentical(*serial, *parallel);
+  PackedLinkOptions lnk;
+  lnk.num_threads = 4;
+  lnk.row_chunk = 3;
   ExpectLinksIdentical(ComputeLinks(*serial),
-                       ComputeLinksParallel(*serial, par));
+                       ComputeLinksPacked(*serial, lnk));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialSeedTest,
@@ -174,13 +181,11 @@ void ExpectRunsIdentical(const RockResult& expected,
                    actual.stats.criterion_value);
 }
 
-// The parallel engine layers sharded relinking, lazy best-cleaning with
-// upper-bound priorities, and periodic dead-entry compaction over the
-// Fig. 3 loop, and every one of them must be invisible in the output: same
-// MergeRecords, same clustering, same stats as the hashed oracle at every
-// thread count. merge_shard_min is dropped to 1 so the ~100-point datasets
-// actually exercise the sharded path rather than falling back to the
-// serial relink.
+// The parallel engine layers lazy best-cleaning with upper-bound
+// priorities, elided heap fixups and periodic dead-entry compaction over
+// the Fig. 3 loop, and every one of them must be invisible in the output:
+// same MergeRecords, same clustering, same stats as the hashed oracle,
+// whatever thread count the graph phases ran with.
 
 RockOptions ParallelGridOptions(double theta, size_t threads, bool weeding) {
   RockOptions opt;
@@ -190,17 +195,17 @@ RockOptions ParallelGridOptions(double theta, size_t threads, bool weeding) {
     opt.outlier_stop_multiple = 3.0;
     opt.min_cluster_support = 4;
   }
-  opt.merge_threads = threads;
-  opt.merge_shard_min = 1;
+  opt.num_threads = threads;
   opt.diag.invariant_check_every = 7;
   return opt;
 }
 
-// θ × thread-count × weeding grid. The two oracles are the hashed engine
-// (the paper's layout) and the parallel engine's own serial relink
-// (merge_threads = 1), which isolates a sharding bug from a layout bug. The
-// graph phases run on the same thread count with a tiny row chunk, so the
-// whole pipeline sees many scheduling steps on a small input.
+// θ × thread-count × weeding grid. The thread count drives the packed graph
+// phases, with a tiny row chunk so they see many scheduling steps on a
+// small input. The two oracles are the hashed merge engine over the same
+// packed graph (isolating a merge bug) and the all-oracle configuration —
+// scalar neighbors, hashed links, hashed merge, all serial — which pins
+// the whole production path against the paper-faithful one.
 class ParallelEngineDifferentialTest
     : public ::testing::TestWithParam<std::tuple<double, size_t, bool>> {};
 
@@ -212,29 +217,31 @@ TEST_P(ParallelEngineDifferentialTest, ParallelMatchesBothOracles) {
   TransactionJaccard sim(ds);
 
   RockOptions opt = ParallelGridOptions(theta, threads, weeding);
-  opt.num_threads = threads;
   opt.row_chunk = 5;
   opt.merge_engine = MergeEngineKind::kHashed;
   auto hashed = RockClusterer(opt).Cluster(sim);
   ASSERT_TRUE(hashed.ok());
   opt.merge_engine = MergeEngineKind::kParallel;
-  opt.merge_threads = 1;
-  auto serial = RockClusterer(opt).Cluster(sim);
-  ASSERT_TRUE(serial.ok());
-  opt.merge_threads = threads;
   auto parallel = RockClusterer(opt).Cluster(sim);
   ASSERT_TRUE(parallel.ok());
 
+  RockOptions oracle_opt = ParallelGridOptions(theta, 1, weeding);
+  oracle_opt.neighbor_engine = NeighborEngineKind::kScalar;
+  oracle_opt.link_engine = LinkEngineKind::kHashed;
+  oracle_opt.merge_engine = MergeEngineKind::kHashed;
+  auto all_oracle = RockClusterer(oracle_opt).Cluster(sim);
+  ASSERT_TRUE(all_oracle.ok());
+
   ExpectRunsIdentical(*hashed, *parallel);
-  ExpectRunsIdentical(*serial, *parallel);
+  ExpectRunsIdentical(*all_oracle, *parallel);
   EXPECT_EQ(hashed->metrics.CounterOr("diag.invariant_violations"), 0u);
+  EXPECT_EQ(all_oracle->metrics.CounterOr("diag.invariant_violations"), 0u);
   EXPECT_EQ(parallel->metrics.CounterOr("diag.invariant_violations"), 0u);
   EXPECT_GT(parallel->metrics.CounterOr("diag.invariant_checks"), 0u);
-  if (threads > 1 && parallel->stats.num_merges > 0) {
-    // Sharding must actually have run — a silent serial fallback would
-    // make this grid vacuous.
-    EXPECT_GT(parallel->metrics.CounterOr("merge.shards"), 0u);
-  }
+  // The thread count must actually have reached the graph phases — a
+  // silently serial run would make the threads axis vacuous.
+  EXPECT_EQ(parallel->metrics.GaugeOr("graph.threads", -1.0),
+            static_cast<double>(threads));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -251,8 +258,8 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // Varying datasets at the most adversarial grid point (8 threads on ~70
-// points, weeding on): different seeds shuffle the merge order, the dirty/
-// clean pattern of the lazy best-cleaning, and the shard boundaries.
+// points, weeding on): different seeds shuffle the merge order and the
+// dirty/clean pattern of the lazy best-cleaning.
 class ParallelEngineSeedTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ParallelEngineSeedTest, ParallelMatchesHashedAcrossDatasets) {
@@ -282,10 +289,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ParallelEngineSeedTest,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u));
 
 // Degenerate graphs: a link-free graph (every point isolated → everything
-// pruned), the complete graph at θ = 0 (densest rows, maximal shard
-// counts), and a hub-and-spokes dataset where one point neighbors everyone
-// (one giant row next to width-1 rows — the worst case for shard boundary
-// placement), all with weeding disabled.
+// pruned), the complete graph at θ = 0 (densest rows), and a
+// hub-and-spokes dataset where one point neighbors everyone (one giant row
+// next to width-1 rows), all with weeding disabled.
 TEST(ParallelEngineEdgeCaseTest, DegenerateGraphsAgree) {
   TransactionDataset disjoint;
   for (int t = 0; t < 30; ++t) {
@@ -367,7 +373,6 @@ TEST_P(LinkEngineClusterDifferentialTest, PackedMatchesHashedEndToEnd) {
 
   // Engine-selection accounting: only the packed run packs bit planes, and
   // its candidate enumeration is exact (every candidate pair is stored).
-  EXPECT_EQ(packed->metrics.CounterOr("links.fallback_hashed"), 0u);
   EXPECT_EQ(packed->metrics.CounterOr("links.candidate_pairs"),
             packed->metrics.CounterOr("links.pairs_counted"));
   ASSERT_NE(packed->metrics.FindTimer("stage.links.pack"), nullptr);
@@ -514,9 +519,10 @@ TEST_F(LinkEnginePipelineTest, CrossEngineResumeMatchesUninterruptedRun) {
 }
 
 // Crash/resume across *merge* engines: a run that crashes mid-pipeline
-// under the sharded parallel engine must resume under the hashed oracle into
-// the exact uninterrupted result, and vice versa — the merge engine, like
-// the link engine, lives below the checkpoint fingerprint.
+// under the parallel engine (graph phases on 4 threads) must resume under
+// the hashed oracle into the exact uninterrupted result, and vice versa —
+// the merge engine and the thread count, like the link engine, live below
+// the checkpoint fingerprint.
 TEST_F(LinkEnginePipelineTest, ParallelMergeResumeMatchesUninterruptedRun) {
   if (!fail::BuildEnabled()) GTEST_SKIP() << "failpoints compiled out";
   auto baseline_opt = Options(LinkEngineKind::kHashed);
@@ -524,11 +530,10 @@ TEST_F(LinkEnginePipelineTest, ParallelMergeResumeMatchesUninterruptedRun) {
   auto baseline = RunRockPipeline(store_path_, baseline_opt);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
 
-  // Crash a sharded parallel-engine run at its second checkpoint write...
+  // Crash a parallel-engine run at its second checkpoint write...
   auto crashed_opt = Options(LinkEngineKind::kHashed);
   crashed_opt.rock.merge_engine = MergeEngineKind::kParallel;
-  crashed_opt.rock.merge_threads = 4;
-  crashed_opt.rock.merge_shard_min = 1;
+  crashed_opt.rock.num_threads = 4;
   crashed_opt.checkpoint_path = ckpt_path_;
   crashed_opt.rock.failpoints = "pipeline.checkpoint=fire_on_hit_2:crash";
   auto crashed = RunRockPipeline(store_path_, crashed_opt);
@@ -547,7 +552,7 @@ TEST_F(LinkEnginePipelineTest, ParallelMergeResumeMatchesUninterruptedRun) {
   EXPECT_TRUE(resumed->resumed);
   ExpectPipelinesIdentical(*resumed, *baseline);
 
-  // Mirror image: hashed crash, sharded parallel resume at 8 threads.
+  // Mirror image: hashed crash, parallel resume at 8 threads.
   auto crashed2_opt = Options(LinkEngineKind::kHashed);
   crashed2_opt.rock.merge_engine = MergeEngineKind::kHashed;
   crashed2_opt.checkpoint_path = ckpt_path_;
@@ -558,8 +563,7 @@ TEST_F(LinkEnginePipelineTest, ParallelMergeResumeMatchesUninterruptedRun) {
   fail::Clear();
   auto resumed2_opt = Options(LinkEngineKind::kHashed);
   resumed2_opt.rock.merge_engine = MergeEngineKind::kParallel;
-  resumed2_opt.rock.merge_threads = 8;
-  resumed2_opt.rock.merge_shard_min = 1;
+  resumed2_opt.rock.num_threads = 8;
   resumed2_opt.checkpoint_path = ckpt_path_;
   resumed2_opt.resume = true;
   auto resumed2 = RunRockPipeline(store_path_, resumed2_opt);
@@ -580,15 +584,17 @@ TEST(DifferentialEdgeCaseTest, EmptyGraph) {
   }
   TransactionJaccard sim(ds);
   for (size_t threads : {1u, 2u, 4u, 8u}) {
-    ParallelOptions par;
-    par.num_threads = threads;
+    PackedNeighborOptions nbr;
+    nbr.num_threads = threads;
     auto serial = ComputeNeighbors(sim, 0.5);
     ASSERT_TRUE(serial.ok());
-    auto parallel = ComputeNeighborsParallel(sim, 0.5, par);
+    auto parallel = ComputeNeighborsPacked(sim, 0.5, nbr);
     ASSERT_TRUE(parallel.ok());
     ExpectGraphsIdentical(*serial, *parallel);
     EXPECT_EQ(parallel->NumEdges(), 0u);
-    const LinkMatrix links = ComputeLinksParallel(*parallel, par);
+    PackedLinkOptions lnk;
+    lnk.num_threads = threads;
+    const LinkMatrix links = ComputeLinksPacked(*parallel, lnk);
     EXPECT_EQ(links.NumNonZeroPairs(), 0u);
     EXPECT_EQ(links.TotalLinks(), 0u);
     ExpectLinksIdentical(ComputeLinks(*serial), links);
@@ -604,15 +610,17 @@ TEST(DifferentialEdgeCaseTest, AllNeighborsGraph) {
   TransactionJaccard sim(ds);
   const size_t n = ds.size();
   for (size_t threads : {1u, 2u, 4u, 8u}) {
-    ParallelOptions par;
-    par.num_threads = threads;
+    PackedNeighborOptions nbr;
+    nbr.num_threads = threads;
     auto serial = ComputeNeighbors(sim, 0.0);
     ASSERT_TRUE(serial.ok());
-    auto parallel = ComputeNeighborsParallel(sim, 0.0, par);
+    auto parallel = ComputeNeighborsPacked(sim, 0.0, nbr);
     ASSERT_TRUE(parallel.ok());
     ExpectGraphsIdentical(*serial, *parallel);
     EXPECT_EQ(parallel->NumEdges(), n * (n - 1) / 2);
-    const LinkMatrix links = ComputeLinksParallel(*parallel, par);
+    PackedLinkOptions lnk;
+    lnk.num_threads = threads;
+    const LinkMatrix links = ComputeLinksPacked(*parallel, lnk);
     ExpectLinksIdentical(ComputeLinks(*serial), links);
     // Complete graph: link(i, j) = n − 2 for every pair.
     EXPECT_EQ(links.Count(0, 1), static_cast<LinkCount>(n - 2));
@@ -635,9 +643,11 @@ TEST(DifferentialEdgeCaseTest, FewerPointsThanThreads) {
       }
       for (auto& row : g.nbrlist) std::sort(row.begin(), row.end());
     }
-    ParallelOptions par;
-    par.num_threads = 8;
-    ExpectLinksIdentical(ComputeLinks(g), ComputeLinksParallel(g, par));
+    for (size_t threads : {1u, 2u, 4u, 8u}) {
+      PackedLinkOptions lnk;
+      lnk.num_threads = threads;
+      ExpectLinksIdentical(ComputeLinks(g), ComputeLinksPacked(g, lnk));
+    }
   }
 }
 

@@ -7,8 +7,8 @@
 // across a θ × seed × thread-count × graph-shape grid, including the
 // degenerate shapes (empty graph, star, clique, isolated points, θ ∈
 // {0, 1}). The packing-budget boundary is pinned byte by byte: exactly-fits
-// packs, one byte short falls back to the hashed scatter (and says so via
-// links.fallback_hashed) with identical results either way.
+// packs, one byte short falls back to the dense scatter pass (and says so
+// via links.scatter_pass) with identical results either way.
 
 #include <gtest/gtest.h>
 
@@ -119,7 +119,7 @@ TEST_P(LinkEngineGridTest, PackedMatchesOraclesAndCountsCandidatesExactly) {
   ExpectMatchesAllOracles(graph, packed);
 
   const diag::RunMetrics m = registry.Snapshot();
-  EXPECT_EQ(m.CounterOr("links.fallback_hashed"), 0u);
+  EXPECT_EQ(m.CounterOr("links.scatter_pass"), 0u);
   EXPECT_EQ(m.CounterOr("links.candidate_pairs"),
             m.CounterOr("links.pairs_counted"))
       << "candidate enumeration must be exact (no wasted popcounts)";
@@ -192,7 +192,6 @@ TEST_P(LinkEngineStrategyTest, ForcedScatterAndPlaneBothMatchOracles) {
 
     const diag::RunMetrics m = registry.Snapshot();
     EXPECT_EQ(m.CounterOr("links.scatter_pass"), scatter ? 1u : 0u);
-    EXPECT_EQ(m.CounterOr("links.fallback_hashed"), 0u);
     EXPECT_EQ(m.CounterOr("links.candidate_pairs"),
               m.CounterOr("links.pairs_counted"))
         << "candidate enumeration must be exact on both passes";
@@ -215,8 +214,8 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // The scatter pass carries no plane, so it must ignore the packing budget
-// entirely: a zero budget that forces the plane into the hashed fallback
-// leaves a forced scatter untouched.
+// entirely: a zero budget that would rule the plane out leaves a forced
+// scatter untouched.
 TEST(LinkEngineStrategyTest, ScatterIgnoresPackBudget) {
   const uint64_t seed = 42;
   ROCK_TRACE_SEED(seed);
@@ -231,7 +230,6 @@ TEST(LinkEngineStrategyTest, ScatterIgnoresPackBudget) {
   opt.metrics = &registry;
   ExpectFrozenRowsIdentical(ComputeLinksPacked(graph, opt), oracle);
   const diag::RunMetrics m = registry.Snapshot();
-  EXPECT_EQ(m.CounterOr("links.fallback_hashed"), 0u);
   EXPECT_EQ(m.CounterOr("links.scatter_pass"), 1u);
 }
 
@@ -392,11 +390,13 @@ TEST(LinkEngineBudgetTest, BudgetBoundaryPacksExactlyAndFallsBackOneByteShort) {
       ExpectFrozenRowsIdentical(links, oracle);
 
       const diag::RunMetrics m = registry.Snapshot();
-      EXPECT_EQ(m.CounterOr("links.fallback_hashed"), want_fallback);
+      EXPECT_EQ(m.CounterOr("links.scatter_pass"), want_fallback)
+          << "an over-budget plane must run the scatter pass";
       EXPECT_EQ(m.CounterOr("links.pairs_counted"), links.NumNonZeroPairs());
+      EXPECT_EQ(m.CounterOr("links.candidate_pairs"),
+                m.CounterOr("links.pairs_counted"))
+          << "both passes enumerate exactly the stored pairs";
       if (want_fallback == 1) {
-        EXPECT_EQ(m.CounterOr("links.candidate_pairs"), 0u)
-            << "the fallback enumerates no candidates";
         EXPECT_EQ(m.FindTimer("stage.links.pack"), nullptr)
             << "the fallback must not charge a pack timer";
       }

@@ -1,5 +1,7 @@
-// Tests for util/thread_pool.h and graph/parallel.h — the parallel
-// neighbor/link computations must be bit-identical to the serial paths.
+// Tests for util/thread_pool.h and the thread-count contract of the packed
+// graph engines — ComputeNeighborsPacked / ComputeLinksPacked must be
+// bit-identical to the serial oracles (ComputeNeighbors / ComputeLinks) at
+// any thread count.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +9,10 @@
 #include <numeric>
 
 #include "common/random.h"
-#include "graph/parallel.h"
+#include "data/transaction.h"
+#include "graph/link_engine.h"
+#include "graph/neighbor_engine.h"
+#include "similarity/jaccard.h"
 #include "similarity/similarity_table.h"
 #include "util/thread_pool.h"
 #include "test_support.h"
@@ -39,27 +44,39 @@ TEST(ThreadPoolTest, ParallelInvokeSingleThreadRunsInline) {
 
 TEST(ThreadPoolTest, ParallelChunksCoversRangeExactlyOnce) {
   const size_t total = 1013;  // prime → ragged last chunk
-  std::vector<std::atomic<int>> seen(total);
-  ParallelChunks(4, total, 17, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) seen[i].fetch_add(1);
-  });
-  for (size_t i = 0; i < total; ++i) {
-    EXPECT_EQ(seen[i].load(), 1) << i;
+  for (size_t threads : {size_t{0}, size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(::testing::Message() << "threads = " << threads);
+    std::vector<std::atomic<int>> seen(total);
+    std::atomic<bool> worker_in_range{true};
+    ParallelChunks(threads, total, 17,
+                   [&](size_t worker, size_t begin, size_t end) {
+                     if (worker >= ResolveThreads(threads)) {
+                       worker_in_range.store(false);
+                     }
+                     for (size_t i = begin; i < end; ++i) seen[i].fetch_add(1);
+                   });
+    EXPECT_TRUE(worker_in_range.load());
+    for (size_t i = 0; i < total; ++i) {
+      EXPECT_EQ(seen[i].load(), 1) << i;
+    }
   }
 }
 
 TEST(ThreadPoolTest, ParallelChunksEmptyAndTiny) {
   int calls = 0;
-  ParallelChunks(4, 0, 8, [&](size_t, size_t) { ++calls; });
+  ParallelChunks(4, 0, 8, [&](size_t, size_t, size_t) { ++calls; });
   EXPECT_EQ(calls, 0);
   std::atomic<size_t> covered{0};
-  ParallelChunks(4, 5, 100, [&](size_t begin, size_t end) {
+  std::atomic<bool> worker_in_range{true};
+  ParallelChunks(4, 5, 100, [&](size_t worker, size_t begin, size_t end) {
+    if (worker >= ResolveThreads(4)) worker_in_range.store(false);
     covered.fetch_add(end - begin);
   });
   EXPECT_EQ(covered.load(), 5u);
+  EXPECT_TRUE(worker_in_range.load());
 }
 
-// -------------------------------------------------------- parallel graphs --
+// ------------------------------------------- packed engines vs the oracles --
 
 SimilarityTable RandomTable(size_t n, double density, uint64_t seed) {
   ROCK_SEEDED_RNG(rng, seed);
@@ -74,22 +91,53 @@ SimilarityTable RandomTable(size_t n, double density, uint64_t seed) {
   return t;
 }
 
+// Baskets over a 40-item universe, each item present with probability
+// `density`: sparse densities leave many rows empty, dense ones make most
+// pairs neighbors.
+TransactionDataset RandomBaskets(size_t n, double density, uint64_t seed) {
+  ROCK_SEEDED_RNG(rng, seed);
+  TransactionDataset ds;
+  for (size_t r = 0; r < n; ++r) {
+    std::vector<ItemId> items;
+    for (ItemId item = 0; item < 40; ++item) {
+      if (rng.Bernoulli(density)) items.push_back(item);
+    }
+    ds.AddTransaction(Transaction(std::move(items)));
+  }
+  return ds;
+}
+
+void ExpectLinksMatchOracle(const NeighborGraph& graph,
+                            const LinkMatrix& packed) {
+  const LinkMatrix oracle = ComputeLinks(graph);
+  ASSERT_EQ(packed.size(), oracle.size());
+  EXPECT_EQ(packed.NumNonZeroPairs(), oracle.NumNonZeroPairs());
+  const auto n = static_cast<PointIndex>(graph.size());
+  for (PointIndex i = 0; i < n; ++i) {
+    for (PointIndex j = static_cast<PointIndex>(i + 1); j < n; ++j) {
+      ASSERT_EQ(packed.Count(i, j), oracle.Count(i, j))
+          << "pair (" << i << "," << j << ")";
+    }
+  }
+}
+
 class ParallelGraphTest
     : public ::testing::TestWithParam<std::tuple<size_t, double>> {};
 
 TEST_P(ParallelGraphTest, NeighborsMatchSerial) {
   const auto [threads, density] = GetParam();
-  SimilarityTable t = RandomTable(150, density, 31 + threads);
-  auto serial = ComputeNeighbors(t, 0.5);
+  const TransactionDataset ds = RandomBaskets(150, density, 31 + threads);
+  const TransactionJaccard sim(ds);
+  auto serial = ComputeNeighbors(sim, 0.5);
   ASSERT_TRUE(serial.ok());
-  ParallelOptions opt;
+  PackedNeighborOptions opt;
   opt.num_threads = threads;
   opt.row_chunk = 7;
-  auto parallel = ComputeNeighborsParallel(t, 0.5, opt);
-  ASSERT_TRUE(parallel.ok());
-  ASSERT_EQ(parallel->size(), serial->size());
+  auto packed = ComputeNeighborsPacked(sim, 0.5, opt);
+  ASSERT_TRUE(packed.ok());
+  ASSERT_EQ(packed->size(), serial->size());
   for (size_t i = 0; i < serial->size(); ++i) {
-    EXPECT_EQ(parallel->nbrlist[i], serial->nbrlist[i]) << "row " << i;
+    EXPECT_EQ(packed->nbrlist[i], serial->nbrlist[i]) << "row " << i;
   }
 }
 
@@ -98,16 +146,12 @@ TEST_P(ParallelGraphTest, LinksMatchSerial) {
   SimilarityTable t = RandomTable(150, density, 77 + threads);
   auto graph = ComputeNeighbors(t, 0.5);
   ASSERT_TRUE(graph.ok());
-  LinkMatrix serial = ComputeLinks(*graph);
-  ParallelOptions opt;
-  opt.num_threads = threads;
-  LinkMatrix parallel = ComputeLinksParallel(*graph, opt);
-  const auto n = static_cast<PointIndex>(graph->size());
-  for (PointIndex i = 0; i < n; ++i) {
-    for (PointIndex j = static_cast<PointIndex>(i + 1); j < n; ++j) {
-      ASSERT_EQ(parallel.Count(i, j), serial.Count(i, j))
-          << "pair (" << i << "," << j << ")";
-    }
+  for (const PackedLinkStrategy strategy :
+       {PackedLinkStrategy::kPlane, PackedLinkStrategy::kScatter}) {
+    PackedLinkOptions opt;
+    opt.num_threads = threads;
+    opt.strategy = strategy;
+    ExpectLinksMatchOracle(*graph, ComputeLinksPacked(*graph, opt));
   }
 }
 
@@ -118,31 +162,50 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0.02, 0.2, 0.7)));
 
 TEST(ParallelGraphTest, InvalidThetaRejected) {
+  const TransactionDataset ds = RandomBaskets(3, 0.5, 1);
+  const TransactionJaccard sim(ds);
   SimilarityTable t(3);
-  EXPECT_TRUE(
-      ComputeNeighborsParallel(t, 1.5).status().IsInvalidArgument());
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    PackedNeighborOptions opt;
+    opt.num_threads = threads;
+    EXPECT_TRUE(ComputeNeighborsPacked(sim, 1.5, opt)
+                    .status()
+                    .IsInvalidArgument());
+    EXPECT_TRUE(
+        ComputeNeighborsPacked(t, -0.1, opt).status().IsInvalidArgument());
+  }
 }
 
 TEST(ParallelGraphTest, EmptyAndSingletonGraphs) {
-  NeighborGraph empty;
-  EXPECT_EQ(ComputeLinksParallel(empty).size(), 0u);
-  NeighborGraph one;
-  one.nbrlist.resize(1);
-  EXPECT_EQ(ComputeLinksParallel(one).size(), 1u);
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    PackedLinkOptions opt;
+    opt.num_threads = threads;
+    NeighborGraph empty;
+    EXPECT_EQ(ComputeLinksPacked(empty, opt).size(), 0u);
+    NeighborGraph one;
+    one.nbrlist.resize(1);
+    EXPECT_EQ(ComputeLinksPacked(one, opt).size(), 1u);
+  }
 }
 
 TEST(ParallelGraphTest, MoreThreadsThanRows) {
+  const TransactionDataset ds = RandomBaskets(5, 0.6, 3);
+  const TransactionJaccard sim(ds);
+  auto serial = ComputeNeighbors(sim, 0.3);
+  ASSERT_TRUE(serial.ok());
   SimilarityTable t = RandomTable(5, 0.8, 3);
   auto graph = ComputeNeighbors(t, 0.5);
   ASSERT_TRUE(graph.ok());
-  ParallelOptions opt;
-  opt.num_threads = 32;
-  LinkMatrix parallel = ComputeLinksParallel(*graph, opt);
-  LinkMatrix serial = ComputeLinks(*graph);
-  for (PointIndex i = 0; i < 5; ++i) {
-    for (PointIndex j = static_cast<PointIndex>(i + 1); j < 5; ++j) {
-      EXPECT_EQ(parallel.Count(i, j), serial.Count(i, j));
-    }
+  for (size_t threads : {1u, 2u, 4u, 8u, 32u}) {
+    SCOPED_TRACE(::testing::Message() << "threads = " << threads);
+    PackedNeighborOptions nopt;
+    nopt.num_threads = threads;
+    auto packed = ComputeNeighborsPacked(sim, 0.3, nopt);
+    ASSERT_TRUE(packed.ok());
+    EXPECT_EQ(packed->nbrlist, serial->nbrlist);
+    PackedLinkOptions lopt;
+    lopt.num_threads = threads;
+    ExpectLinksMatchOracle(*graph, ComputeLinksPacked(*graph, lopt));
   }
 }
 

@@ -11,7 +11,6 @@
 #include "common/random.h"
 #include "core/criterion.h"
 #include "core/rock.h"
-#include "graph/parallel.h"
 #include "similarity/jaccard.h"
 #include "synth/basket_generator.h"
 #include "test_support.h"
