@@ -7,19 +7,18 @@
 // per-shard labeling progress, letting `rock pipeline --resume` skip both
 // the re-clustering and every shard that already finished.
 //
-// File format (little-endian):
-//   [u64 magic "ROCKCKPT"][u32 version][u64 payload_size][u32 crc32]
-//   payload_size × u8 payload
-// `crc32` covers the payload bytes. Load() rejects wrong magic/version,
-// truncated or oversized files, and checksum mismatches as Corruption —
-// a torn or bit-rotted checkpoint is detected and discarded (the pipeline
-// then restarts cleanly), never resumed into wrong labels.
+// The file is a sealed file (util/bytes.h) with magic "ROCKCKPT",
+// version 1: the shared [magic][version][payload_size][crc32] envelope
+// around the serialized PipelineCheckpoint. A torn or bit-rotted
+// checkpoint is detected and discarded as Corruption (the pipeline then
+// restarts cleanly), never resumed into wrong labels; so is a payload
+// whose CRC is valid but whose counts or indices do not fit together.
 //
-// Writes are atomic-by-rename: the bytes go to "<path>.tmp" and are
-// renamed over `path` only once complete. The "pipeline.checkpoint"
-// failpoint site models the two crash shapes tests need: `torn_write`
-// leaves a truncated file at the *final* path (a non-atomic filesystem),
-// `crash` leaves only the tmp file (death between write and rename).
+// Writes are atomic-by-rename. The "pipeline.checkpoint" failpoint site
+// models the two crash shapes tests need: `torn_write` leaves a truncated
+// file at the *final* path (a non-atomic filesystem), `crash` leaves only
+// the tmp file (death between write and rename). Loads consult
+// "checkpoint.load".
 
 #ifndef ROCK_CORE_CHECKPOINT_H_
 #define ROCK_CORE_CHECKPOINT_H_
@@ -33,6 +32,7 @@
 #include "core/labeling.h"
 #include "core/rock.h"
 #include "data/transaction.h"
+#include "util/bytes.h"
 
 namespace rock {
 
@@ -86,6 +86,23 @@ struct PipelineCheckpoint {
   std::vector<LabelId> ground_truth;
 };
 
+/// Serializers shared by the checkpoint and the model bundle
+/// (core/model_bundle.h), so the two formats lay out a fingerprint and a
+/// transaction list identically. The fingerprint is its 11 fields in
+/// declaration order.
+void WriteFingerprint(ByteWriter& w, const CheckpointFingerprint& fp);
+Status ReadFingerprint(ByteReader& r, CheckpointFingerprint* fp);
+
+/// Transaction list: u64 count, then per transaction u32 n and n × u32
+/// item ids. A transaction over kMaxTransactionItems is InvalidArgument
+/// and nothing is written for it.
+Status WriteTransactions(ByteWriter& w, const std::vector<Transaction>& txs);
+
+/// Reads a list written by WriteTransactions into `txs`. A count or length
+/// the remaining payload cannot hold, or a length over
+/// kMaxTransactionItems, is Corruption.
+Status ReadTransactions(ByteReader& r, std::vector<Transaction>* txs);
+
 /// Atomically writes `checkpoint` to `path` (tmp + rename). Consults the
 /// "pipeline.checkpoint" failpoint site; see the header comment for the
 /// torn_write / crash shapes it injects.
@@ -93,8 +110,10 @@ Status SaveCheckpoint(const PipelineCheckpoint& checkpoint,
                       const std::string& path);
 
 /// Reads and validates a checkpoint. Missing file → IOError; wrong magic,
-/// wrong version, truncation, trailing bytes, checksum mismatch, or any
-/// implausible payload field → Corruption. Consults "checkpoint.load".
+/// wrong version, truncation, trailing bytes, checksum mismatch, any
+/// implausible payload field, or a clustering that does not index the
+/// sample (member or assignment out of range) → Corruption. Consults
+/// "checkpoint.load".
 Result<PipelineCheckpoint> LoadCheckpoint(const std::string& path);
 
 }  // namespace rock

@@ -3,14 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdio>
-#include <memory>
-
 #include <mutex>
 
 #include "common/timer.h"
 #include "diag/metrics.h"
-#include "util/failpoint.h"
 #include "util/thread_pool.h"
 
 namespace rock {
@@ -56,7 +52,7 @@ Result<TransactionLabeler> TransactionLabeler::Build(
 Result<TransactionLabeler> TransactionLabeler::FromParts(
     double theta, double f_exponent,
     std::vector<std::vector<Transaction>> sets) {
-  // Same plausibility gate as Load(): NaN-safe range checks.
+  // NaN-safe range checks, the same gate LoadModelBundle applies.
   if (!(theta >= 0.0 && theta <= 1.0) || !(f_exponent >= 0.0)) {
     return Status::InvalidArgument("implausible labeler parameters");
   }
@@ -240,185 +236,6 @@ TransactionLabeler::AssignOutcome TransactionLabeler::AssignDetailed(
     }
   }
   return best;
-}
-
-namespace {
-
-constexpr uint64_t kLabelerMagic = 0x524f434b4c41424cULL;  // "ROCKLABL"
-// Version 2 added the header crc32 over the payload.
-constexpr uint32_t kLabelerVersion = 2;
-constexpr long kLabelerCrcOffset =
-    static_cast<long>(sizeof(kLabelerMagic) + sizeof(kLabelerVersion));
-
-/// Per-transaction item cap shared by Save (reject) and Load (corruption
-/// bound): lengths are serialized as uint32_t, and anything this large is
-/// a bug or a corrupt file, not data.
-constexpr uint64_t kMaxLabelerTransactionItems = 1u << 24;
-
-/// Checksumming writer for the labeler payload; every write consults the
-/// "labeler.save" failpoint site, so torn writes can land mid-file.
-struct LabelerPayloadWriter {
-  std::FILE* f;
-  Crc32Accumulator crc;
-
-  Status Write(const void* data, size_t n) {
-    ROCK_RETURN_IF_ERROR(fail::ConsultWrite("labeler.save", f, data, n));
-    if (std::fwrite(data, 1, n, f) != n) {
-      return Status::IOError("short write to labeler file");
-    }
-    crc.Update(data, n);
-    return Status::OK();
-  }
-};
-
-/// Checksumming reader for the labeler payload ("labeler.load" site).
-struct LabelerPayloadReader {
-  std::FILE* f;
-  Crc32Accumulator crc;
-
-  Status Read(void* data, size_t n) {
-    ROCK_RETURN_IF_ERROR(fail::ConsultRead("labeler.load"));
-    if (std::fread(data, 1, n, f) != n) {
-      return Status::Corruption("short read from labeler file");
-    }
-    crc.Update(data, n);
-    return Status::OK();
-  }
-};
-
-Status WriteRaw(std::FILE* f, const void* data, size_t n) {
-  if (std::fwrite(data, 1, n, f) != n) {
-    return Status::IOError("short write to labeler file");
-  }
-  return Status::OK();
-}
-
-Status ReadRaw(std::FILE* f, void* data, size_t n) {
-  if (std::fread(data, 1, n, f) != n) {
-    return Status::Corruption("short read from labeler file");
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status TransactionLabeler::Save(const std::string& path) const {
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> file(
-      std::fopen(path.c_str(), "wb"), &std::fclose);
-  if (file == nullptr) {
-    return Status::IOError("cannot create '" + path + "'");
-  }
-  std::FILE* f = file.get();
-  ROCK_RETURN_IF_ERROR(WriteRaw(f, &kLabelerMagic, sizeof(kLabelerMagic)));
-  ROCK_RETURN_IF_ERROR(WriteRaw(f, &kLabelerVersion, sizeof(kLabelerVersion)));
-  uint32_t crc_placeholder = 0;
-  ROCK_RETURN_IF_ERROR(WriteRaw(f, &crc_placeholder, sizeof(crc_placeholder)));
-  LabelerPayloadWriter w{f, Crc32Accumulator{}};
-  ROCK_RETURN_IF_ERROR(w.Write(&theta_, sizeof(theta_)));
-  ROCK_RETURN_IF_ERROR(w.Write(&f_exponent_, sizeof(f_exponent_)));
-  const uint64_t num_clusters = sets_.size();
-  ROCK_RETURN_IF_ERROR(w.Write(&num_clusters, sizeof(num_clusters)));
-  for (const auto& set : sets_) {
-    const uint64_t set_size = set.size();
-    ROCK_RETURN_IF_ERROR(w.Write(&set_size, sizeof(set_size)));
-    for (const Transaction& tx : set) {
-      if (tx.size() > kMaxLabelerTransactionItems) {
-        return Status::InvalidArgument(
-            "labeling transaction has " + std::to_string(tx.size()) +
-            " items; the labeler format caps transactions at " +
-            std::to_string(kMaxLabelerTransactionItems));
-      }
-      const uint32_t n = static_cast<uint32_t>(tx.size());
-      ROCK_RETURN_IF_ERROR(w.Write(&n, sizeof(n)));
-      if (n > 0) {
-        ROCK_RETURN_IF_ERROR(w.Write(tx.items().data(), n * sizeof(ItemId)));
-      }
-    }
-  }
-  if (std::fseek(f, kLabelerCrcOffset, SEEK_SET) != 0) {
-    return Status::IOError("seek failure finalizing '" + path + "'");
-  }
-  const uint32_t crc = w.crc.value();
-  ROCK_RETURN_IF_ERROR(WriteRaw(f, &crc, sizeof(crc)));
-  if (std::fflush(f) != 0) {
-    return Status::IOError("flush failure on '" + path + "'");
-  }
-  return Status::OK();
-}
-
-Result<TransactionLabeler> TransactionLabeler::Load(const std::string& path) {
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> file(
-      std::fopen(path.c_str(), "rb"), &std::fclose);
-  if (file == nullptr) {
-    return Status::IOError("cannot open '" + path + "'");
-  }
-  std::FILE* f = file.get();
-  uint64_t magic = 0;
-  uint32_t version = 0;
-  ROCK_RETURN_IF_ERROR(ReadRaw(f, &magic, sizeof(magic)));
-  if (magic != kLabelerMagic) {
-    return Status::Corruption("'" + path + "' is not a labeler file");
-  }
-  ROCK_RETURN_IF_ERROR(ReadRaw(f, &version, sizeof(version)));
-  if (version != kLabelerVersion) {
-    return Status::Corruption("unsupported labeler version " +
-                              std::to_string(version));
-  }
-  uint32_t expected_crc = 0;
-  ROCK_RETURN_IF_ERROR(ReadRaw(f, &expected_crc, sizeof(expected_crc)));
-  LabelerPayloadReader r{f, Crc32Accumulator{}};
-  double theta = 0.0;
-  double exponent = 0.0;
-  ROCK_RETURN_IF_ERROR(r.Read(&theta, sizeof(theta)));
-  ROCK_RETURN_IF_ERROR(r.Read(&exponent, sizeof(exponent)));
-  if (!(theta >= 0.0 && theta <= 1.0) || !(exponent >= 0.0)) {
-    return Status::Corruption("implausible labeler parameters");
-  }
-  TransactionLabeler labeler(theta, exponent);
-  uint64_t num_clusters = 0;
-  ROCK_RETURN_IF_ERROR(r.Read(&num_clusters, sizeof(num_clusters)));
-  if (num_clusters > (1u << 24)) {
-    return Status::Corruption("implausible cluster count");
-  }
-  labeler.sets_.resize(num_clusters);
-  labeler.normalizers_.resize(num_clusters);
-  for (uint64_t c = 0; c < num_clusters; ++c) {
-    uint64_t set_size = 0;
-    ROCK_RETURN_IF_ERROR(r.Read(&set_size, sizeof(set_size)));
-    if (set_size > (1u << 28)) {
-      return Status::Corruption("implausible labeling-set size");
-    }
-    auto& set = labeler.sets_[c];
-    set.reserve(set_size);
-    for (uint64_t t = 0; t < set_size; ++t) {
-      uint32_t n = 0;
-      ROCK_RETURN_IF_ERROR(r.Read(&n, sizeof(n)));
-      if (n > kMaxLabelerTransactionItems) {
-        return Status::Corruption("implausible transaction length");
-      }
-      std::vector<ItemId> items(n);
-      if (n > 0) {
-        ROCK_RETURN_IF_ERROR(r.Read(items.data(), n * sizeof(ItemId)));
-      }
-      set.emplace_back(std::move(items));
-    }
-    labeler.normalizers_[c] =
-        std::pow(static_cast<double>(set.size()) + 1.0, exponent);
-  }
-  // The payload checksum catches bit flips that still parse plausibly.
-  if (r.crc.value() != expected_crc) {
-    return Status::Corruption("labeler checksum mismatch in '" + path +
-                              "' (bit rot or torn write)");
-  }
-  // A labeler file must end exactly where the last labeling set does:
-  // trailing bytes mean truncated-then-appended data or a reader/writer
-  // mismatch, both unrecoverable.
-  if (std::fgetc(f) != EOF) {
-    return Status::Corruption("trailing data after labeler payload in '" +
-                              path + "'");
-  }
-  labeler.BuildIndex();
-  return labeler;
 }
 
 Result<LabelingRunResult> LabelStore(const std::string& store_path,

@@ -129,23 +129,13 @@ class TransactionLabeler {
   /// Size of labeling set L_i.
   size_t labeling_set_size(size_t i) const { return sets_[i].size(); }
 
-  /// Serializes the labeler (θ, f(θ), all labeling sets) to a binary file
-  /// so the labeling phase can run in a different process — e.g. sharded
-  /// over the store — without re-clustering the sample. The file carries a
-  /// payload crc32 (format version 2) that Load verifies, and the write
-  /// path exposes the "labeler.save" failpoint site.
-  Status Save(const std::string& path) const;
-
-  /// Restores a labeler written by Save(). Item ids must come from the
-  /// same dictionary as the store being labeled (as with Build()).
-  static Result<TransactionLabeler> Load(const std::string& path);
-
   /// Reassembles a labeler from already-validated parts: θ, the
   /// normalization exponent f(θ), and the labeling sets L_i. Recomputes the
   /// normalizers and the inverted index, so a labeler round-tripped through
-  /// any serialization (labeler file, model bundle) assigns bit-identically
-  /// to the original. Rejects non-finite or out-of-range parameters the
-  /// same way Load() does.
+  /// a model bundle (core/model_bundle.h, its only on-disk form) assigns
+  /// bit-identically to the original. Rejects non-finite or out-of-range
+  /// parameters with InvalidArgument, as LoadModelBundle does with
+  /// Corruption.
   static Result<TransactionLabeler> FromParts(
       double theta, double f_exponent,
       std::vector<std::vector<Transaction>> sets);
@@ -163,7 +153,8 @@ class TransactionLabeler {
   TransactionLabeler(double theta, double exponent)
       : theta_(theta), f_exponent_(exponent) {}
 
-  /// Builds the inverted point index from sets_ (called by Build and Load).
+  /// Builds the inverted point index from sets_ (called by Build and
+  /// FromParts).
   void BuildIndex();
 
   double theta_;

@@ -1,69 +1,40 @@
 #include "core/model_bundle.h"
 
 #include <cmath>
-#include <cstdio>
-
-#include "util/bytes.h"
-#include "util/checksum.h"
-#include "util/failpoint.h"
 
 namespace rock {
 
 namespace {
 
-constexpr uint64_t kModelMagic = 0x524f434b4d4f444cULL;  // "ROCKMODL"
 // Version 2 appended the build-time profile (drift baseline). Version-1
 // files still load, with an empty profile.
-constexpr uint32_t kModelVersion = 2;
-constexpr uint32_t kMinModelVersion = 1;
-constexpr size_t kHeaderSize = sizeof(kModelMagic) + sizeof(kModelVersion) +
-                               sizeof(uint64_t) + sizeof(uint32_t);
+constexpr SealedFormat kModelFormat{
+    0x524f434b4d4f444cULL,  // "ROCKMODL"
+    /*version=*/2, /*min_version=*/1, "model.save", "model.load",
+    "model bundle"};
 
 // Caps on serialized counts: anything beyond these is a corrupt length
 // field, not data, and must not turn into an allocation.
 constexpr uint64_t kMaxModelClusters = 1u << 24;
-constexpr uint64_t kMaxModelSetSize = 1u << 28;
-constexpr uint64_t kMaxModelItems = 1u << 24;
 constexpr uint64_t kMaxModelDictEntries = 1u << 24;
 constexpr uint64_t kMaxModelNameLength = 1u << 16;
 
 constexpr char kReaderContext[] = "model-bundle payload";
 
-std::vector<uint8_t> SerializePayload(const ModelBundle& b) {
-  ByteWriter w;
-  const CheckpointFingerprint& fp = b.fingerprint;
-  w.Pod(fp.store_count);
-  w.Pod(fp.theta);
-  w.Pod(fp.num_clusters);
-  w.Pod(fp.min_neighbors);
-  w.Pod(fp.outlier_stop_multiple);
-  w.Pod(fp.min_cluster_support);
-  w.Pod(fp.sample_size);
-  w.Pod(fp.sample_seed);
-  w.Pod(fp.labeling_fraction);
-  w.Pod(fp.min_labeling_points);
-  w.Pod(fp.labeling_seed);
-
+Status SerializePayload(const ModelBundle& b, ByteWriter& w) {
+  WriteFingerprint(w, b.fingerprint);
   w.Pod(b.theta);
   w.Pod(b.f_exponent);
 
   w.Pod(static_cast<uint64_t>(b.labeling_sets.size()));
   for (const auto& set : b.labeling_sets) {
-    w.Pod(static_cast<uint64_t>(set.size()));
-    for (const Transaction& tx : set) {
-      w.Pod(static_cast<uint32_t>(tx.size()));
-      if (!tx.empty()) {
-        w.Write(tx.items().data(), tx.size() * sizeof(ItemId));
-      }
-    }
+    ROCK_RETURN_IF_ERROR(WriteTransactions(w, set));
   }
 
   w.Pod(static_cast<uint64_t>(b.dictionary.size()));
   for (const std::string& name : b.dictionary) {
     w.Pod(static_cast<uint32_t>(name.size()));
-    if (!name.empty()) {
-      w.Write(name.data(), name.size());
-    }
+    w.Write(name.data(), name.size());
   }
 
   // Version 2: the build-time profile. Written even when empty (rows = 0)
@@ -78,7 +49,7 @@ std::vector<uint8_t> SerializePayload(const ModelBundle& b) {
     w.Pod(c < profile.mean_neighbors.size() ? profile.mean_neighbors[c]
                                             : 0.0);
   }
-  return std::move(w.buf);
+  return Status::OK();
 }
 
 /// NaN-safe plausibility gate shared by save and load: a profile is either
@@ -102,25 +73,11 @@ bool ProfilePlausible(const ModelProfile& p, size_t num_clusters) {
   return true;
 }
 
-Status ParsePayload(const uint8_t* data, size_t size, uint32_t version,
-                    ModelBundle* b) {
-  ByteReader r{data, size, 0, kReaderContext};
-  CheckpointFingerprint& fp = b->fingerprint;
-  ROCK_RETURN_IF_ERROR(r.Pod(&fp.store_count));
-  ROCK_RETURN_IF_ERROR(r.Pod(&fp.theta));
-  ROCK_RETURN_IF_ERROR(r.Pod(&fp.num_clusters));
-  ROCK_RETURN_IF_ERROR(r.Pod(&fp.min_neighbors));
-  ROCK_RETURN_IF_ERROR(r.Pod(&fp.outlier_stop_multiple));
-  ROCK_RETURN_IF_ERROR(r.Pod(&fp.min_cluster_support));
-  ROCK_RETURN_IF_ERROR(r.Pod(&fp.sample_size));
-  ROCK_RETURN_IF_ERROR(r.Pod(&fp.sample_seed));
-  ROCK_RETURN_IF_ERROR(r.Pod(&fp.labeling_fraction));
-  ROCK_RETURN_IF_ERROR(r.Pod(&fp.min_labeling_points));
-  ROCK_RETURN_IF_ERROR(r.Pod(&fp.labeling_seed));
-
+Status ParsePayload(ByteReader& r, uint32_t version, ModelBundle* b) {
+  ROCK_RETURN_IF_ERROR(ReadFingerprint(r, &b->fingerprint));
   ROCK_RETURN_IF_ERROR(r.Pod(&b->theta));
   ROCK_RETURN_IF_ERROR(r.Pod(&b->f_exponent));
-  // NaN-safe plausibility gate, as in TransactionLabeler::Load.
+  // NaN-safe plausibility gate, as in TransactionLabeler::FromParts.
   if (!(b->theta >= 0.0 && b->theta <= 1.0) || !(b->f_exponent >= 0.0)) {
     return Status::Corruption("implausible model parameters");
   }
@@ -133,26 +90,7 @@ Status ParsePayload(const uint8_t* data, size_t size, uint32_t version,
   b->labeling_sets.clear();
   b->labeling_sets.resize(static_cast<size_t>(num_clusters));
   for (auto& set : b->labeling_sets) {
-    uint64_t set_size = 0;
-    ROCK_RETURN_IF_ERROR(r.Pod(&set_size));
-    if (set_size > kMaxModelSetSize || set_size > r.Remaining()) {
-      return Status::Corruption("implausible model labeling-set size");
-    }
-    set.reserve(static_cast<size_t>(set_size));
-    for (uint64_t t = 0; t < set_size; ++t) {
-      uint32_t n = 0;
-      ROCK_RETURN_IF_ERROR(r.Pod(&n));
-      if (n > kMaxModelItems ||
-          static_cast<size_t>(n) * sizeof(ItemId) > r.Remaining()) {
-        return Status::Corruption("implausible model transaction length");
-      }
-      std::vector<ItemId> items(n);
-      if (n > 0) {
-        ROCK_RETURN_IF_ERROR(
-            r.Read(items.data(), static_cast<size_t>(n) * sizeof(ItemId)));
-      }
-      set.emplace_back(std::move(items));
-    }
+    ROCK_RETURN_IF_ERROR(ReadTransactions(r, &set));
   }
 
   uint64_t dict_size = 0;
@@ -169,9 +107,7 @@ Status ParsePayload(const uint8_t* data, size_t size, uint32_t version,
       return Status::Corruption("implausible model dictionary entry");
     }
     name.resize(len);
-    if (len > 0) {
-      ROCK_RETURN_IF_ERROR(r.Read(name.data(), len));
-    }
+    ROCK_RETURN_IF_ERROR(r.Read(name.data(), len));
   }
 
   b->profile = ModelProfile{};
@@ -226,81 +162,17 @@ Status SaveModelBundle(const ModelBundle& bundle, const std::string& path) {
   if (!ProfilePlausible(bundle.profile, bundle.labeling_sets.size())) {
     return Status::InvalidArgument("implausible model profile");
   }
-  const std::vector<uint8_t> payload = SerializePayload(bundle);
-
-  ByteWriter file;
-  file.buf.reserve(kHeaderSize + payload.size());
-  file.Pod(kModelMagic);
-  file.Pod(kModelVersion);
-  file.Pod(static_cast<uint64_t>(payload.size()));
-  file.Pod(Crc32(payload.data(), payload.size()));
-  file.Write(payload.data(), payload.size());
-
-  const std::string tmp = path + ".tmp";
-  switch (fail::Consult("model.save")) {
-    case fail::Action::kNone:
-      break;
-    case fail::Action::kTornWrite:
-      // A filesystem without atomic rename tearing the bundle: half the
-      // bytes land at the *final* path.
-      ROCK_RETURN_IF_ERROR(
-          WriteFileBytes(path, file.buf.data(), file.buf.size() / 2));
-      return fail::InjectedError("model.save");
-    case fail::Action::kCrash:
-      // Death between writing the tmp file and renaming it.
-      ROCK_RETURN_IF_ERROR(
-          WriteFileBytes(tmp, file.buf.data(), file.buf.size()));
-      return fail::InjectedCrash("model.save");
-    case fail::Action::kError:
-    case fail::Action::kShortRead:
-      return fail::InjectedError("model.save");
-  }
-
-  ROCK_RETURN_IF_ERROR(WriteFileBytes(tmp, file.buf.data(), file.buf.size()));
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::IOError("cannot rename '" + tmp + "' over '" + path + "'");
-  }
-  return Status::OK();
+  ByteWriter payload;
+  ROCK_RETURN_IF_ERROR(SerializePayload(bundle, payload));
+  return SaveSealedFile(kModelFormat, payload.buf, path);
 }
 
 Result<ModelBundle> LoadModelBundle(const std::string& path) {
-  ROCK_RETURN_IF_ERROR(fail::ConsultRead("model.load"));
-  Result<std::vector<uint8_t>> bytes_or = ReadFileBytes(path);
-  if (!bytes_or.ok()) return bytes_or.status();
-  const std::vector<uint8_t> bytes = std::move(bytes_or).value();
-
-  if (bytes.size() < kHeaderSize) {
-    return Status::Corruption("model bundle '" + path + "' is truncated");
-  }
-  ByteReader header{bytes.data(), kHeaderSize, 0, kReaderContext};
-  uint64_t magic = 0;
-  uint32_t version = 0;
-  uint64_t payload_size = 0;
-  uint32_t expected_crc = 0;
-  ROCK_RETURN_IF_ERROR(header.Pod(&magic));
-  if (magic != kModelMagic) {
-    return Status::Corruption("'" + path + "' is not a model bundle");
-  }
-  ROCK_RETURN_IF_ERROR(header.Pod(&version));
-  if (version < kMinModelVersion || version > kModelVersion) {
-    return Status::Corruption("unsupported model-bundle version " +
-                              std::to_string(version));
-  }
-  ROCK_RETURN_IF_ERROR(header.Pod(&payload_size));
-  ROCK_RETURN_IF_ERROR(header.Pod(&expected_crc));
-  if (payload_size != bytes.size() - kHeaderSize) {
-    return Status::Corruption("model bundle '" + path +
-                              "' payload size mismatch (torn write)");
-  }
-  const uint8_t* payload = bytes.data() + kHeaderSize;
-  if (Crc32(payload, static_cast<size_t>(payload_size)) != expected_crc) {
-    return Status::Corruption("model bundle '" + path +
-                              "' checksum mismatch (bit rot or torn write)");
-  }
-
+  Result<SealedFile> file = LoadSealedFile(kModelFormat, path);
+  if (!file.ok()) return file.status();
+  ByteReader r = file->Payload(kReaderContext);
   ModelBundle bundle;
-  ROCK_RETURN_IF_ERROR(ParsePayload(payload, static_cast<size_t>(payload_size),
-                                    version, &bundle));
+  ROCK_RETURN_IF_ERROR(ParsePayload(r, file->version, &bundle));
   return bundle;
 }
 

@@ -8,15 +8,15 @@
 // `rock query` load it once and answer queries via the §4.6 ScanCount
 // labeler.
 //
-// File format (little-endian), same header discipline as the pipeline
-// checkpoint and the stores:
-//   [u64 magic "ROCKMODL"][u32 version][u64 payload_size][u32 crc32]
+// File format (little-endian): a sealed file (util/bytes.h), the envelope
+// the pipeline checkpoint uses too:
+//   [u64 magic "ROCKMODL"][u32 version = 2][u64 payload_size][u32 crc32]
 //   payload_size × u8 payload
 // `crc32` covers the payload. The payload is:
 //   fingerprint (the 11 CheckpointFingerprint fields, checkpoint order)
 //   f64 theta, f64 f_exponent
-//   u64 num_clusters; per cluster: u64 set_size;
-//       per transaction: u32 n, n × u32 item ids
+//   u64 num_clusters; per cluster: a transaction list (core/checkpoint.h:
+//       u64 set_size; per transaction: u32 n, n × u32 item ids)
 //   u64 dict_size; per entry: u32 len, len × u8 name bytes
 //   — version 2 appends the build-time profile (the drift baseline) —
 //   u64 profile_rows; f64 outlier_share; f64 mean_score;
@@ -31,7 +31,10 @@
 // "model.save" failpoint site with the same torn_write / crash shapes as
 // "pipeline.checkpoint"; loads consult "model.load". Wrong magic/version,
 // truncation, trailing bytes, checksum mismatches and implausible counts
-// are all Corruption — a damaged bundle is refused, never served.
+// are all Corruption — a damaged bundle is refused, never served. A
+// labeling transaction over kMaxTransactionItems is refused on save
+// (InvalidArgument). The bundle is the only on-disk form of a
+// TransactionLabeler.
 
 #ifndef ROCK_CORE_MODEL_BUNDLE_H_
 #define ROCK_CORE_MODEL_BUNDLE_H_

@@ -20,10 +20,6 @@ constexpr long kCrcOffset = kCountOffset + static_cast<long>(sizeof(uint64_t));
 constexpr long kHeaderSizeV2 = kCrcOffset + static_cast<long>(sizeof(uint32_t));
 constexpr long kHeaderSize = kHeaderSizeV2 + 2 * static_cast<long>(sizeof(uint64_t));
 
-// Sanity bound on items-per-transaction to catch corrupt length fields
-// before they turn into huge allocations.
-constexpr uint32_t kMaxTransactionItems = 1u << 24;
-
 Status WriteRaw(std::FILE* f, const void* data, size_t n) {
   if (std::fwrite(data, 1, n, f) != n) {
     return Status::IOError("short write to transaction store");
@@ -36,6 +32,13 @@ Status ReadRaw(std::FILE* f, void* data, size_t n) {
     return Status::Corruption("short read from transaction store");
   }
   return Status::OK();
+}
+
+Status OversizeTransaction(const Transaction& tx) {
+  return Status::InvalidArgument(
+      "transaction has " + std::to_string(tx.size()) +
+      " items; stores cap transactions at " +
+      std::to_string(kMaxTransactionItems));
 }
 
 /// Parsed store header: everything before the first record.
@@ -107,6 +110,9 @@ TransactionStoreWriter::~TransactionStoreWriter() = default;
 Status TransactionStoreWriter::Append(const Transaction& tx, LabelId label) {
   if (finished_) {
     return Status::FailedPrecondition("Append after Finish");
+  }
+  if (tx.size() > kMaxTransactionItems) {
+    return OversizeTransaction(tx);
   }
   std::FILE* f = file_.get();
   uint32_t n = static_cast<uint32_t>(tx.size());
@@ -403,6 +409,9 @@ Result<StoreAppendResult> AppendToStore(const std::string& path,
   }
   if (labels != nullptr && labels->size() != rows.size()) {
     return Status::InvalidArgument("labels do not cover the appended rows");
+  }
+  for (const Transaction& tx : rows) {
+    if (tx.size() > kMaxTransactionItems) return OversizeTransaction(tx);
   }
   const std::string tmp = path + ".append.tmp";
   StoreAppendResult result;

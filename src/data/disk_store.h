@@ -70,7 +70,9 @@ class TransactionStoreWriter {
   TransactionStoreWriter& operator=(TransactionStoreWriter&&) = default;
   ~TransactionStoreWriter();
 
-  /// Appends one transaction with an optional ground-truth label.
+  /// Appends one transaction with an optional ground-truth label. A
+  /// transaction over kMaxTransactionItems is InvalidArgument, refused
+  /// before anything is written.
   Status Append(const Transaction& tx, LabelId label = kNoLabel);
 
   /// Back-patches the record count into the header and closes the file.
@@ -182,7 +184,8 @@ struct StoreAppendResult {
 /// count/CRC, generation+1 and base_count = old count, and the tmp file is
 /// renamed over `path` after consulting "store.commit". Any failure or
 /// crash before the rename leaves the original store byte-identical, so
-/// retrying the append after a crash cannot duplicate rows.
+/// retrying the append after a crash cannot duplicate rows. A row over
+/// kMaxTransactionItems is InvalidArgument before any file is touched.
 Result<StoreAppendResult> AppendToStore(const std::string& path,
                                         const std::vector<Transaction>& rows,
                                         const std::vector<LabelId>* labels);

@@ -8,12 +8,19 @@
 #define ROCK_DATA_TRANSACTION_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <initializer_list>
 #include <vector>
 
 #include "data/dictionary.h"
 
 namespace rock {
+
+/// Most items one transaction may hold on disk. Every persisted format
+/// stores a transaction's length as a u32 behind this cap: writers refuse a
+/// longer transaction with InvalidArgument, and readers treat a longer
+/// length field as Corruption before allocating for it.
+inline constexpr uint32_t kMaxTransactionItems = 1u << 24;
 
 /// An item set. Immutable after construction; always sorted and unique.
 class Transaction {

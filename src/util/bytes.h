@@ -1,10 +1,16 @@
 // librock — util/bytes.h
 //
-// Little byte-buffer plumbing shared by every versioned+CRC'd on-disk
-// format (pipeline checkpoints, model bundles): an appending POD writer,
-// a bounds-checked POD reader, and whole-file read/write helpers. These
-// used to live in core/checkpoint.cc's anonymous namespace; they moved
-// here when the model bundle needed the same discipline.
+// Byte-buffer plumbing shared by every versioned+CRC'd on-disk format
+// (pipeline checkpoints, model bundles): an appending POD writer, a
+// bounds-checked POD reader, whole-file read/write helpers, and the one
+// sealed-file envelope both formats are stored in:
+//
+//   [u64 magic][u32 version][u64 payload_size][u32 crc32]
+//   payload_size × u8 payload
+//
+// `crc32` covers the payload bytes. A payload that passes the envelope can
+// still be hostile (a forged count behind a recomputed CRC), so each
+// format's parser caps its own counts.
 //
 // ByteReader treats every overrun as the same Corruption — a truncated or
 // tampered payload — tagged with the caller-supplied `context` so the
@@ -14,9 +20,7 @@
 #define ROCK_UTIL_BYTES_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -29,12 +33,19 @@ struct ByteWriter {
   std::vector<uint8_t> buf;
 
   void Write(const void* data, size_t n) {
+    if (n == 0) return;
     const uint8_t* p = static_cast<const uint8_t*>(data);
     buf.insert(buf.end(), p, p + n);
   }
   template <typename T>
   void Pod(const T& v) {
     Write(&v, sizeof(v));
+  }
+  /// A POD array: u64 count, then the elements' bytes.
+  template <typename T>
+  void Array(const std::vector<T>& v) {
+    Pod(static_cast<uint64_t>(v.size()));
+    Write(v.data(), v.size() * sizeof(T));
   }
 };
 
@@ -50,7 +61,7 @@ struct ByteReader {
     if (n > size - pos) {
       return Status::Corruption(std::string("truncated ") + context);
     }
-    std::memcpy(out, data + pos, n);
+    if (n > 0) std::memcpy(out, data + pos, n);
     pos += n;
     return Status::OK();
   }
@@ -58,53 +69,72 @@ struct ByteReader {
   Status Pod(T* out) {
     return Read(out, sizeof(*out));
   }
+  /// Reads an Array; a count the remaining bytes cannot hold is Corruption
+  /// before anything is allocated.
+  template <typename T>
+  Status Array(std::vector<T>* out) {
+    uint64_t count = 0;
+    ROCK_RETURN_IF_ERROR(Pod(&count));
+    if (count > Remaining() / sizeof(T)) {
+      return Status::Corruption(std::string("implausible array length in ") +
+                                context);
+    }
+    out->resize(static_cast<size_t>(count));
+    return Read(out->data(), out->size() * sizeof(T));
+  }
   /// Remaining bytes — used to sanity-check counts before allocating.
   size_t Remaining() const { return size - pos; }
 };
 
 /// Writes `n` bytes to `path`, failing on short writes or flush errors.
 /// Callers wanting atomicity write to "<path>.tmp" and rename.
-inline Status WriteFileBytes(const std::string& path, const uint8_t* data,
-                             size_t n) {
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> file(
-      std::fopen(path.c_str(), "wb"), &std::fclose);
-  if (file == nullptr) {
-    return Status::IOError("cannot create '" + path + "'");
-  }
-  if (n > 0 && std::fwrite(data, 1, n, file.get()) != n) {
-    return Status::IOError("short write to '" + path + "'");
-  }
-  if (std::fflush(file.get()) != 0) {
-    return Status::IOError("flush failure on '" + path + "'");
-  }
-  return Status::OK();
-}
+Status WriteFileBytes(const std::string& path, const uint8_t* data, size_t n);
 
 /// Reads the whole of `path` into memory. Missing file → IOError.
-inline Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> file(
-      std::fopen(path.c_str(), "rb"), &std::fclose);
-  if (file == nullptr) {
-    return Status::IOError("cannot open '" + path + "'");
+Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path);
+
+/// Identity of one sealed-file format.
+struct SealedFormat {
+  uint64_t magic = 0;
+  uint32_t version = 0;      ///< version SaveSealedFile writes
+  uint32_t min_version = 0;  ///< oldest version LoadSealedFile accepts
+  const char* save_site = "";  ///< failpoint consulted by SaveSealedFile
+  const char* load_site = "";  ///< failpoint consulted by LoadSealedFile
+  const char* name = "";       ///< e.g. "model bundle", for error messages
+};
+
+/// Bytes of the envelope header before the payload.
+inline constexpr size_t kSealedHeaderSize =
+    sizeof(uint64_t) + sizeof(uint32_t) + sizeof(uint64_t) + sizeof(uint32_t);
+
+/// Seals `payload` in the envelope at `format.version` and writes it to
+/// `path` atomically (tmp + rename). The `format.save_site` failpoint
+/// models the two crash shapes: `torn_write` leaves half the file at the
+/// *final* path (a filesystem without atomic rename) and fails with
+/// IOError; `crash` leaves only the complete "<path>.tmp" (death between
+/// write and rename); `error` / `short_read` fail with IOError.
+Status SaveSealedFile(const SealedFormat& format,
+                      const std::vector<uint8_t>& payload,
+                      const std::string& path);
+
+/// A loaded, checksum-verified sealed file.
+struct SealedFile {
+  uint32_t version = 0;
+  std::vector<uint8_t> bytes;  ///< the whole file, header included
+
+  /// Reader over the payload, naming `context` in its errors.
+  ByteReader Payload(const char* context) const {
+    return ByteReader{bytes.data() + kSealedHeaderSize,
+                      bytes.size() - kSealedHeaderSize, 0, context};
   }
-  std::FILE* f = file.get();
-  if (std::fseek(f, 0, SEEK_END) != 0) {
-    return Status::IOError("seek failure on '" + path + "'");
-  }
-  const long end = std::ftell(f);
-  if (end < 0) {
-    return Status::IOError("tell failure on '" + path + "'");
-  }
-  if (std::fseek(f, 0, SEEK_SET) != 0) {
-    return Status::IOError("seek failure on '" + path + "'");
-  }
-  std::vector<uint8_t> bytes(static_cast<size_t>(end));
-  if (!bytes.empty() &&
-      std::fread(bytes.data(), 1, bytes.size(), f) != bytes.size()) {
-    return Status::IOError("read failure on '" + path + "'");
-  }
-  return bytes;
-}
+};
+
+/// Reads and unseals `path`. Consults `format.load_site` first. Missing
+/// file → IOError; wrong magic, a version outside
+/// [min_version, version], truncation, trailing bytes or a checksum
+/// mismatch → Corruption.
+Result<SealedFile> LoadSealedFile(const SealedFormat& format,
+                                  const std::string& path);
 
 }  // namespace rock
 

@@ -1,10 +1,11 @@
 // librock — util/checksum.h
 //
 // CRC-32 (IEEE 802.3 polynomial, the zlib/gzip variant) for on-disk
-// integrity: the transaction store, the labeler file and the pipeline
-// checkpoint all carry a payload CRC so that torn writes, truncation and
-// bit flips are detected as Corruption instead of being read back as data.
-// Streaming via Crc32Accumulator keeps the writers single-pass.
+// integrity: the transaction store and every sealed file (util/bytes.h:
+// the pipeline checkpoint and the model bundle) carry a payload CRC so
+// that torn writes, truncation and bit flips are detected as Corruption
+// instead of being read back as data. Streaming via Crc32Accumulator keeps
+// the store writers single-pass.
 
 #ifndef ROCK_UTIL_CHECKSUM_H_
 #define ROCK_UTIL_CHECKSUM_H_

@@ -2,7 +2,7 @@
 //
 // Deterministic fault injection for the disk pipeline. Named failpoint
 // *sites* are compiled into I/O code paths (e.g. "store.read",
-// "store.append", "labeler.save", "pipeline.checkpoint"); a *schedule*
+// "store.append", "model.save", "pipeline.checkpoint"); a *schedule*
 // configured from the ROCK_FAILPOINTS environment variable or
 // RockOptions::failpoints decides which hit of which site misbehaves, and
 // how:

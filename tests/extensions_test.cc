@@ -1,6 +1,7 @@
 // Tests for the production-extension modules: set-similarity measures,
 // extra clustering metrics (Fowlkes–Mallows, V-measure), labeler
-// serialization, and the ARFF reader.
+// persistence through the sealed model bundle and checkpoint, and the ARFF
+// reader.
 
 #include <gtest/gtest.h>
 
@@ -11,10 +12,15 @@
 #include <numeric>
 #include <vector>
 
+#include "core/checkpoint.h"
 #include "core/labeling.h"
+#include "core/model_bundle.h"
 #include "data/arff_reader.h"
+#include "data/disk_store.h"
 #include "eval/metrics.h"
 #include "similarity/set_measures.h"
+#include "test_support.h"
+#include "util/bytes.h"
 
 namespace rock {
 namespace {
@@ -126,6 +132,10 @@ TEST(ExtraMetricsTest, VMeasureCompleteButInhomogeneous) {
 }
 
 // ----------------------------------------------------- labeler persistence --
+// A labeler reaches disk only inside a model bundle (core/model_bundle.h);
+// the pipeline checkpoint persists the sample it is built from. Both are
+// sealed files (util/bytes.h) sharing one envelope, one transaction-list
+// serializer and one per-transaction item cap with the store.
 
 class LabelerIoTest : public ::testing::Test {
  protected:
@@ -133,158 +143,142 @@ class LabelerIoTest : public ::testing::Test {
     path_ = std::filesystem::temp_directory_path() /
             ("rock_labeler_" + std::to_string(::getpid()) + ".bin");
   }
-  void TearDown() override { std::filesystem::remove(path_); }
+  void TearDown() override {
+    std::filesystem::remove(path_);
+    std::filesystem::remove(path() + ".tmp");
+    std::filesystem::remove(path() + ".append.tmp");
+  }
   std::string path() const { return path_.string(); }
 
  private:
   std::filesystem::path path_;
 };
 
-TEST_F(LabelerIoTest, SaveLoadRoundTripPreservesAssignments) {
-  TransactionDataset sample;
-  sample.AddTransaction({"a", "b"});
-  sample.AddTransaction({"b", "c"});
-  sample.AddTransaction({"a", "c"});
-  sample.AddTransaction({"x", "y"});
-  sample.AddTransaction({"y", "z"});
-  Clustering clustering = Clustering::FromAssignment({0, 0, 0, 1, 1});
-  RockOptions rock;
-  rock.theta = 0.3;
-  LabelingOptions opt;
-  opt.fraction = 1.0;
-  auto original =
-      TransactionLabeler::Build(sample, clustering, rock, opt);
-  ASSERT_TRUE(original.ok());
-  ASSERT_TRUE(original->Save(path()).ok());
-
-  auto loaded = TransactionLabeler::Load(path());
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->num_clusters(), original->num_clusters());
-  for (size_t c = 0; c < original->num_clusters(); ++c) {
-    EXPECT_EQ(loaded->labeling_set_size(c),
-              original->labeling_set_size(c));
-  }
-  // Identical assignments over a probe battery.
-  const Dictionary& items = sample.items();
-  std::vector<Transaction> probes = {
-      Transaction({items.Lookup("a"), items.Lookup("b")}),
-      Transaction({items.Lookup("x"), items.Lookup("y"),
-                   items.Lookup("z")}),
-      Transaction({items.Lookup("a"), items.Lookup("z")}),
-      Transaction({999}),
-      Transaction{},
-  };
-  for (const Transaction& probe : probes) {
-    EXPECT_EQ(loaded->Assign(probe), original->Assign(probe));
-  }
-}
-
-TEST_F(LabelerIoTest, LoadRejectsGarbage) {
-  {
-    std::FILE* f = std::fopen(path().c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    const char junk[] = "not a labeler";
-    std::fwrite(junk, 1, sizeof(junk), f);
-    std::fclose(f);
-  }
-  EXPECT_TRUE(TransactionLabeler::Load(path()).status().IsCorruption());
-  EXPECT_TRUE(
-      TransactionLabeler::Load("/no/such/file").status().IsIOError());
-}
-
 namespace {
 
-/// Builds a small two-cluster labeler and Save()s it to `path`.
-void WriteValidLabelerFile(const std::string& path) {
+/// A bundle frozen from a two-cluster labeler over a tiny sample.
+ModelBundle SmallBundle() {
   TransactionDataset sample;
   sample.AddTransaction({"a", "b"});
   sample.AddTransaction({"b", "c"});
   sample.AddTransaction({"x", "y"});
   sample.AddTransaction({"y", "z"});
-  Clustering clustering = Clustering::FromAssignment({0, 0, 1, 1});
   RockOptions rock;
   rock.theta = 0.3;
   LabelingOptions opt;
   opt.fraction = 1.0;
-  auto labeler = TransactionLabeler::Build(sample, clustering, rock, opt);
-  ASSERT_TRUE(labeler.ok()) << labeler.status().ToString();
-  ASSERT_TRUE(labeler->Save(path).ok());
+  auto labeler = TransactionLabeler::Build(
+      sample, Clustering::FromAssignment({0, 0, 1, 1}), rock, opt);
+  EXPECT_TRUE(labeler.ok()) << labeler.status().ToString();
+  ModelBundle bundle;
+  bundle.theta = labeler->theta();
+  bundle.f_exponent = labeler->f_exponent();
+  for (size_t c = 0; c < labeler->num_clusters(); ++c) {
+    bundle.labeling_sets.push_back(labeler->labeling_set(c));
+  }
+  return bundle;
 }
 
-/// XORs one byte of the file at `offset` with `mask`.
-void FlipByte(const std::string& path, long offset, unsigned char mask) {
-  std::FILE* f = std::fopen(path.c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
-  int c = std::fgetc(f);
-  ASSERT_NE(c, EOF);
-  ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
-  std::fputc(static_cast<unsigned char>(c) ^ mask, f);
-  std::fclose(f);
+/// A two-row checkpoint whose whole store is the sample.
+PipelineCheckpoint SmallCheckpoint() {
+  PipelineCheckpoint cp;
+  cp.fingerprint.store_count = 2;
+  cp.sample_rows = {0, 1};
+  cp.sample = {Transaction({1, 2}), Transaction({3})};
+  cp.clustering = Clustering::FromAssignment({0, 0});
+  cp.assignments = {kUnassigned, kUnassigned};
+  cp.ground_truth = {kNoLabel, kNoLabel};
+  return cp;
 }
 
 }  // namespace
 
-TEST_F(LabelerIoTest, LoadRejectsTruncatedFile) {
-  WriteValidLabelerFile(path());
-  const auto full = std::filesystem::file_size(path());
-  ASSERT_GT(full, 8u);
-  // Cut mid-payload and mid-header: both must fail as corruption, at every
-  // truncation point — a prefix of a labeler file is never a labeler file.
-  for (uintmax_t keep : {full - 5, full / 2, uintmax_t{9}}) {
-    std::filesystem::resize_file(path(), keep);
-    EXPECT_TRUE(TransactionLabeler::Load(path()).status().IsCorruption())
-        << "kept " << keep << " of " << full << " bytes";
-  }
-}
-
 TEST_F(LabelerIoTest, LoadRejectsBitFlippedCounts) {
-  // Flipping a high bit of a count field must be caught by the plausibility
-  // bounds rather than driving a multi-gigabyte allocation.
-  // Header layout: magic u64 | version u32 | theta f64 | exponent f64 |
-  // num_clusters u64 | per cluster: set_size u64 | ...
-  WriteValidLabelerFile(path());
-  FlipByte(path(), 0, 0xff);  // magic
-  EXPECT_TRUE(TransactionLabeler::Load(path()).status().IsCorruption());
+  // A count field forged to a huge value behind a recomputed CRC must be
+  // refused by the loader's caps, not drive a huge allocation. Both
+  // payloads open with the 11-field (88-byte) run fingerprint.
+  constexpr size_t kAfterFingerprint =
+      kSealedHeaderSize + 11 * sizeof(uint64_t);
+  // Bundle: f64 theta, f64 f(θ), u64 cluster count, then the first
+  // labeling set: u64 set size, u32 transaction length.
+  constexpr size_t kClusters = kAfterFingerprint + 2 * sizeof(double);
+  // Checkpoint: u64 row count, 2 × u64 rows, then the sample: u64 count,
+  // u32 transaction length.
+  constexpr size_t kSample = kAfterFingerprint + 3 * sizeof(uint64_t);
+  struct Forgery {
+    const char* field;
+    bool bundle;
+    size_t offset;
+    uint64_t value;
+    bool u32;
+  };
+  const Forgery forgeries[] = {
+      {"cluster count", true, kClusters, 1ull << 62, false},
+      {"labeling-set size", true, kClusters + 8, 1ull << 62, false},
+      {"transaction length", true, kClusters + 16, 0xffffffffu, true},
+      {"transaction length over the cap", true, kClusters + 16,
+       kMaxTransactionItems + 1, true},
+      {"sample count", false, kSample, 1ull << 62, false},
+      {"sample transaction length", false, kSample + 8, 0xffffffffu, true},
+  };
+  ASSERT_TRUE(SaveModelBundle(SmallBundle(), path()).ok());
+  auto bundle = ReadFileBytes(path());
+  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+  ASSERT_TRUE(SaveCheckpoint(SmallCheckpoint(), path()).ok());
+  auto checkpoint = ReadFileBytes(path());
+  ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
 
-  WriteValidLabelerFile(path());
-  FlipByte(path(), 8 + 4 + 8 + 8 + 6, 0xff);  // num_clusters, high byte
-  EXPECT_TRUE(TransactionLabeler::Load(path()).status().IsCorruption());
-
-  WriteValidLabelerFile(path());
-  FlipByte(path(), 8 + 4 + 8 + 8 + 8 + 6, 0xff);  // first set_size, high byte
-  EXPECT_TRUE(TransactionLabeler::Load(path()).status().IsCorruption());
-}
-
-TEST_F(LabelerIoTest, LoadRejectsTrailingBytes) {
-  WriteValidLabelerFile(path());
-  {
-    std::FILE* f = std::fopen(path().c_str(), "ab");
-    ASSERT_NE(f, nullptr);
-    std::fputc(0, f);
-    std::fclose(f);
+  for (const Forgery& f : forgeries) {
+    SCOPED_TRACE(f.field);
+    std::vector<uint8_t> bytes = f.bundle ? *bundle : *checkpoint;
+    if (f.u32) {
+      PatchAndReseal(bytes, f.offset, static_cast<uint32_t>(f.value));
+    } else {
+      PatchAndReseal(bytes, f.offset, f.value);
+    }
+    ASSERT_TRUE(WriteFileBytes(path(), bytes.data(), bytes.size()).ok());
+    const Status s = f.bundle ? LoadModelBundle(path()).status()
+                              : LoadCheckpoint(path()).status();
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
   }
-  auto loaded = TransactionLabeler::Load(path());
-  EXPECT_TRUE(loaded.status().IsCorruption());
-  EXPECT_NE(loaded.status().ToString().find("trailing"), std::string::npos);
 }
 
 TEST_F(LabelerIoTest, SaveRejectsOversizeTransaction) {
-  // The file format stores transaction lengths as u32 with a 2^24-item cap;
-  // Save must refuse (not silently truncate) anything larger.
-  std::vector<ItemId> huge((1u << 24) + 1);
-  std::iota(huge.begin(), huge.end(), ItemId{0});
-  TransactionDataset sample;
-  sample.AddTransaction(Transaction(std::move(huge)));
-  sample.AddTransaction({"a", "b"});
-  Clustering clustering = Clustering::FromAssignment({0, 0});
-  RockOptions rock;
-  LabelingOptions opt;
-  opt.fraction = 1.0;
-  auto labeler = TransactionLabeler::Build(sample, clustering, rock, opt);
-  ASSERT_TRUE(labeler.ok());
-  EXPECT_TRUE(labeler->Save(path()).IsInvalidArgument());
+  // Every writer shares one per-transaction cap with its loader and
+  // refuses (never truncates) anything larger, before writing a byte.
+  std::vector<ItemId> items(size_t{kMaxTransactionItems} + 1);
+  std::iota(items.begin(), items.end(), ItemId{0});
+  std::vector<Transaction> rows;
+  rows.emplace_back(std::move(items));
+
+  {
+    auto writer = TransactionStoreWriter::Open(path());
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    ASSERT_TRUE(writer->Append(Transaction({1, 2})).ok());
+    EXPECT_TRUE(writer->Append(rows[0]).IsInvalidArgument());
+    ASSERT_TRUE(writer->Finish().ok());
+  }
+  auto before = ReadFileBytes(path());
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  auto reader = TransactionStoreReader::Open(path());
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  EXPECT_EQ(reader->count(), 1u) << "the refused row must leave no trace";
+  EXPECT_TRUE(
+      AppendToStore(path(), rows, nullptr).status().IsInvalidArgument());
+  auto after = ReadFileBytes(path());
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_TRUE(*after == *before) << "a refused append must not touch the store";
+
+  ModelBundle bundle = SmallBundle();
+  bundle.labeling_sets[0].push_back(std::move(rows[0]));
   std::filesystem::remove(path());
+  EXPECT_TRUE(SaveModelBundle(bundle, path()).IsInvalidArgument());
+  EXPECT_FALSE(std::filesystem::exists(path()));
+
+  PipelineCheckpoint cp = SmallCheckpoint();
+  cp.sample[1] = std::move(bundle.labeling_sets[0].back());
+  EXPECT_TRUE(SaveCheckpoint(cp, path()).IsInvalidArgument());
+  EXPECT_FALSE(std::filesystem::exists(path()));
 }
 
 // ------------------------------------------------------------------- ARFF --

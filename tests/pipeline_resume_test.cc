@@ -25,6 +25,8 @@
 #include "data/disk_store.h"
 #include "data/transaction.h"
 #include "test_support.h"
+#include "util/bytes.h"
+#include "util/checksum.h"
 #include "util/failpoint.h"
 
 namespace rock {
@@ -130,7 +132,9 @@ class PipelineResumeTest : public ::testing::Test {
 // ---------------------------------------------------------------------------
 // Checkpoint format.
 
-TEST_F(PipelineResumeTest, CheckpointRoundTripsEveryField) {
+/// A checkpoint with every field set: the round-trip and pinned-format
+/// fixture.
+PipelineCheckpoint FixedCheckpoint() {
   PipelineCheckpoint cp;
   cp.fingerprint.store_count = 5;
   cp.fingerprint.theta = 0.62;
@@ -157,7 +161,11 @@ TEST_F(PipelineResumeTest, CheckpointRoundTripsEveryField) {
   cp.shard_outliers = {1, 0};
   cp.assignments = {0, 0, 1, kUnassigned, kUnassigned};
   cp.ground_truth = {0, 0, 1, 1, kNoLabel};
+  return cp;
+}
 
+TEST_F(PipelineResumeTest, CheckpointRoundTripsEveryField) {
+  const PipelineCheckpoint cp = FixedCheckpoint();
   ASSERT_TRUE(SaveCheckpoint(cp, ckpt_path_).ok());
   auto loaded = LoadCheckpoint(ckpt_path_);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -181,74 +189,25 @@ TEST_F(PipelineResumeTest, CheckpointRoundTripsEveryField) {
   EXPECT_EQ(loaded->ground_truth, cp.ground_truth);
 }
 
+// Byte length and CRC-32 of SaveCheckpoint(FixedCheckpoint()), recorded
+// when the checkpoint moved onto the shared sealed-file envelope: the move
+// must not change a single byte of the format.
+TEST_F(PipelineResumeTest, CheckpointFormatIsPinned) {
+  ASSERT_TRUE(SaveCheckpoint(FixedCheckpoint(), ckpt_path_).ok());
+  auto bytes = ReadFileBytes(ckpt_path_);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  EXPECT_EQ(bytes->size(), 538u);
+  EXPECT_EQ(Crc32(bytes->data(), bytes->size()), 0x00879ed2u);
+}
+
 TEST_F(PipelineResumeTest, LoadCheckpointRejectsEveryCorruptionShape) {
-  PipelineCheckpoint cp;
-  cp.fingerprint.store_count = 3;
-  cp.fingerprint.sample_size = 2;
-  cp.sample_rows = {0, 2};
-  cp.sample = {Transaction({1, 2}), Transaction({3, 4})};
-  cp.clustering = Clustering::FromAssignment({0, 1});
-  cp.num_shards = 1;
-  cp.shard_done = {0};
-  cp.shard_stats.resize(1);
-  cp.shard_outliers = {0};
-  cp.assignments = {kUnassigned, kUnassigned, kUnassigned};
-  cp.ground_truth = {kNoLabel, kNoLabel, kNoLabel};
-  ASSERT_TRUE(SaveCheckpoint(cp, ckpt_path_).ok());
-
-  std::FILE* f = std::fopen(ckpt_path_.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::vector<unsigned char> bytes;
-  unsigned char buf[4096];
-  size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    bytes.insert(bytes.end(), buf, buf + n);
-  }
-  std::fclose(f);
-  ASSERT_GT(bytes.size(), 24u);
-
-  auto write_bytes = [&](const std::vector<unsigned char>& b) {
-    std::FILE* out = std::fopen(ckpt_path_.c_str(), "wb");
-    ASSERT_NE(out, nullptr);
-    if (!b.empty()) {
-      ASSERT_EQ(std::fwrite(b.data(), 1, b.size(), out), b.size());
-    }
-    std::fclose(out);
-  };
-
-  ROCK_SEEDED_RNG(rng, 0xc4c4ULL);
-  // Random truncations and single-bit flips over the whole file.
-  for (int trial = 0; trial < 60; ++trial) {
-    SCOPED_TRACE(::testing::Message() << "trial " << trial);
-    std::vector<unsigned char> mutated = bytes;
-    if (trial % 2 == 0) {
-      mutated.resize(static_cast<size_t>(rng.UniformUint64(bytes.size())));
-    } else {
-      const size_t i = static_cast<size_t>(rng.UniformUint64(bytes.size()));
-      mutated[i] =
-          static_cast<unsigned char>(mutated[i] ^ (1u << rng.UniformUint64(8)));
-    }
-    write_bytes(mutated);
-    auto r = LoadCheckpoint(ckpt_path_);
-    ASSERT_FALSE(r.ok()) << "corrupt checkpoint loaded silently";
-    EXPECT_TRUE(r.status().IsCorruption()) << r.status().ToString();
-  }
-
-  // Trailing garbage (payload size mismatch — the torn-write shape).
-  std::vector<unsigned char> longer = bytes;
-  longer.push_back(0xab);
-  write_bytes(longer);
-  EXPECT_TRUE(LoadCheckpoint(ckpt_path_).status().IsCorruption());
-
-  // Version bump.
-  std::vector<unsigned char> bumped = bytes;
-  bumped[8] = static_cast<unsigned char>(bumped[8] + 1);
-  write_bytes(bumped);
-  EXPECT_TRUE(LoadCheckpoint(ckpt_path_).status().IsCorruption());
-
-  // Missing file.
-  std::remove(ckpt_path_.c_str());
-  EXPECT_TRUE(LoadCheckpoint(ckpt_path_).status().IsIOError());
+  ASSERT_TRUE(SaveCheckpoint(FixedCheckpoint(), ckpt_path_).ok());
+  const std::string scratch = ckpt_path_ + ".corrupt";
+  ExpectRejectsEveryCorruptionShape(
+      ckpt_path_, scratch,
+      [](const std::string& path) { return LoadCheckpoint(path).status(); },
+      0xc4c4ULL);
+  std::remove(scratch.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -437,6 +396,92 @@ TEST_F(PipelineResumeTest, CorruptCheckpointFallsBackToCleanRun) {
   EXPECT_FALSE(resumed->resumed);
   EXPECT_EQ(resumed->metrics.CounterOr("checkpoint.invalid"), 1u);
   ExpectSameOutputs(*resumed, *baseline);
+}
+
+TEST_F(PipelineResumeTest, OutOfRangeClusterMemberFallsBackToCleanRun) {
+  if (!fail::BuildEnabled()) GTEST_SKIP() << "failpoints compiled out";
+  auto baseline = RunRockPipeline(store_path_, BaseOptions(0.5, 1));
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+
+  auto crashed_opt = BaseOptions(0.5, 1);
+  crashed_opt.checkpoint_path = ckpt_path_;
+  crashed_opt.rock.failpoints = "pipeline.checkpoint=fire_on_hit_2:crash";
+  ASSERT_FALSE(RunRockPipeline(store_path_, crashed_opt).ok());
+  fail::Clear();
+  auto valid = LoadCheckpoint(ckpt_path_);
+  ASSERT_TRUE(valid.ok()) << valid.status().ToString();
+  ASSERT_FALSE(valid->clustering.clusters.empty());
+  ASSERT_FALSE(valid->clustering.clusters[0].empty());
+
+  // Sample-phase indices that point nowhere are refused even behind a
+  // valid CRC: a sample row past the store, an assignment vector of the
+  // wrong length, an assignment naming no cluster…
+  PipelineCheckpoint bad_row = *valid;
+  bad_row.sample_rows.back() = bad_row.fingerprint.store_count;
+  PipelineCheckpoint short_assignment = *valid;
+  short_assignment.clustering.assignment.pop_back();
+  PipelineCheckpoint bad_cluster = *valid;
+  bad_cluster.clustering.assignment[0] =
+      static_cast<ClusterIndex>(bad_cluster.clustering.clusters.size());
+  for (const PipelineCheckpoint* bad :
+       {&bad_row, &short_assignment, &bad_cluster}) {
+    ASSERT_TRUE(SaveCheckpoint(*bad, ckpt_path_).ok());
+    EXPECT_TRUE(LoadCheckpoint(ckpt_path_).status().IsCorruption());
+  }
+
+  // …or a member index one past the sample, which labeler construction
+  // would otherwise read out of bounds on resume.
+  PipelineCheckpoint tampered = *valid;
+  tampered.clustering.clusters[0].back() =
+      static_cast<PointIndex>(tampered.sample.size());
+  ASSERT_TRUE(SaveCheckpoint(tampered, ckpt_path_).ok());
+  auto load = LoadCheckpoint(ckpt_path_);
+  EXPECT_TRUE(load.status().IsCorruption()) << load.status().ToString();
+
+  auto resumed_opt = BaseOptions(0.5, 1);
+  resumed_opt.checkpoint_path = ckpt_path_;
+  resumed_opt.resume = true;
+  auto resumed = RunRockPipeline(store_path_, resumed_opt);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_FALSE(resumed->resumed);
+  EXPECT_EQ(resumed->metrics.CounterOr("checkpoint.invalid"), 1u);
+  ExpectSameOutputs(*resumed, *baseline);
+}
+
+TEST_F(PipelineResumeTest, PipelineResumesFromABuildCheckpoint) {
+  if (!fail::BuildEnabled()) GTEST_SKIP() << "failpoints compiled out";
+  const std::string model_path = TempPath("rock_resume_model");
+  auto baseline = RunRockPipeline(store_path_, BaseOptions(0.5, 4));
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+
+  // A rebuild that dies saving its bundle leaves a shard-free checkpoint.
+  ModelBuildOptions build;
+  build.pipeline = BaseOptions(0.5, 4);
+  build.pipeline.checkpoint_path = ckpt_path_;
+  build.pipeline.rock.failpoints = "model.save=fire_on_hit_1:crash";
+  build.model_path = model_path;
+  auto built = BuildModel(store_path_, build);
+  ASSERT_FALSE(built.ok());
+  EXPECT_TRUE(fail::IsInjectedCrash(built.status()))
+      << built.status().ToString();
+  fail::Clear();
+  std::remove((model_path + ".tmp").c_str());
+  auto left = LoadCheckpoint(ckpt_path_);
+  ASSERT_TRUE(left.ok()) << left.status().ToString();
+  EXPECT_EQ(left->num_shards, 0u);
+
+  // The same flags run as a pipeline reuse its sample phase and plan
+  // their label shards afresh.
+  auto resumed_opt = BaseOptions(0.5, 4);
+  resumed_opt.checkpoint_path = ckpt_path_;
+  resumed_opt.resume = true;
+  auto resumed = RunRockPipeline(store_path_, resumed_opt);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_TRUE(resumed->resumed);
+  EXPECT_EQ(resumed->metrics.CounterOr("pipeline.resumed"), 1u);
+  EXPECT_EQ(resumed->shards_skipped, 0u);
+  ExpectSameOutputs(*resumed, *baseline);
+  EXPECT_FALSE(fs::exists(ckpt_path_));
 }
 
 TEST_F(PipelineResumeTest, MismatchedFingerprintFallsBackToCleanRun) {

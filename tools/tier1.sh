@@ -4,11 +4,15 @@
 #   1. standard build + full ctest suite (ROADMAP.md "Tier-1 verify");
 #   2. serve smoke: gen → pipeline → build → query/serve, diffing the
 #      served assignments byte-for-byte against the batch pipeline's;
-#   3. stream smoke: `rock append` onto a copy of the store, diffing the
+#   3. crash/resume smoke: a checkpointed `rock pipeline` killed by an
+#      injected crash mid-scan, then resumed: it must skip completed label
+#      shards, remove its checkpoint, and write assignments identical to
+#      the uninterrupted run's;
+#   4. stream smoke: `rock append` onto a copy of the store, diffing the
 #      incrementally labeled rows byte-for-byte against the tail of a full
 #      `rock query --from-store` relabel of the grown store, plus the
 #      'stream'-labeled ctest subset (the soak/differential harness);
-#   4. ThreadSanitizer build of the threaded/diag subset (ctest -L sanitize,
+#   5. ThreadSanitizer build of the threaded/diag subset (ctest -L sanitize,
 #      which includes the streaming soak), so data races in the parallel
 #      graph phases or the background-rebuild path fail the gate.
 #
@@ -43,6 +47,30 @@ printf '3 5 9\n# comment\n17\n' | \
 [[ "$(wc -l < "$SMOKE_DIR/answers.txt")" == "2" ]] \
     || { echo "serve smoke: line protocol answered wrong line count"; exit 1; }
 echo "serve smoke: OK"
+
+echo "=== tier-1: crash/resume smoke (checkpointed pipeline) ==="
+CKPT="$SMOKE_DIR/pipeline.ckpt"
+CRASH_RC=0
+"$ROCK" pipeline --store="$SMOKE_DIR/baskets.store" --sample-size=400 \
+    --theta=0.5 --k=10 --checkpoint="$CKPT" --label-threads=4 \
+    --failpoints='pipeline.checkpoint=fire_on_hit_5:crash' \
+    > "$SMOKE_DIR/crashed.txt" 2>&1 || CRASH_RC=$?
+[[ "$CRASH_RC" == "1" ]] \
+    || { echo "crash/resume smoke: crashed run exited $CRASH_RC, not 1"; \
+         exit 1; }
+"$ROCK" pipeline --store="$SMOKE_DIR/baskets.store" --sample-size=400 \
+    --theta=0.5 --k=10 --checkpoint="$CKPT" --resume --label-threads=4 \
+    --assignments="$SMOKE_DIR/resumed.csv" > "$SMOKE_DIR/resumed.txt"
+grep -Eq ', [1-9][0-9]* of [0-9]+ label shards skipped' \
+    "$SMOKE_DIR/resumed.txt" \
+    || { echo "crash/resume smoke: the resumed run skipped no label shard"; \
+         exit 1; }
+[[ ! -e "$CKPT" ]] \
+    || { echo "crash/resume smoke: checkpoint left behind"; exit 1; }
+cmp "$SMOKE_DIR/batch.csv" "$SMOKE_DIR/resumed.csv" \
+    || { echo "crash/resume smoke: resumed labels differ from pipeline"; \
+         exit 1; }
+echo "crash/resume smoke: OK"
 
 echo "=== tier-1: stream smoke (append ≡ full relabel differential) ==="
 "$ROCK" gen --dataset=basket --scale=0.01 --out="$SMOKE_DIR/extra.store"
