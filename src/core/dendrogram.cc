@@ -138,7 +138,7 @@ std::string Dendrogram::ToNewick() const {
       Frame& f = stack.back();
       auto it = children.find(f.id);
       if (it == children.end()) {
-        out += "p" + std::to_string(f.id);
+        out.append("p").append(std::to_string(f.id));
         stack.pop_back();
         continue;
       }

@@ -7,6 +7,7 @@
 
 #include "common/timer.h"
 #include "diag/metrics.h"
+#include "similarity/packed.h"
 #include "util/thread_pool.h"
 
 namespace rock {
@@ -67,31 +68,134 @@ Result<TransactionLabeler> TransactionLabeler::FromParts(
   return labeler;
 }
 
+namespace {
+
+// ScanCount walks a posting with a dependent scattered increment; the
+// packed sweep handles a word in a SIMD lane. One posting costs about this
+// many swept words: the constant that best splits a measured grid of both
+// paths (EXPERIMENTS.md, "Label counting path crossover").
+constexpr double kSweepWordsPerPosting = 30.0;
+
+std::atomic<uint64_t> g_next_index_id{1};
+
+}  // namespace
+
 void TransactionLabeler::BuildIndex() {
-  item_to_points_.clear();
-  point_cluster_.clear();
-  point_size_.clear();
+  const size_t num_clusters = sets_.size();
   ItemId max_item = 0;
   bool any = false;
+  size_t num_points = 0;
+  uint64_t total_items = 0;
+  index_id_ = g_next_index_id.fetch_add(1, std::memory_order_relaxed);
+  class_size_.clear();
   for (const auto& set : sets_) {
+    num_points += set.size();
     for (const Transaction& q : set) {
+      total_items += q.size();
+      class_size_.push_back(static_cast<uint32_t>(q.size()));
       if (!q.empty()) {
         any = true;
         max_item = std::max(max_item, q.items().back());
       }
     }
   }
-  if (any) item_to_points_.resize(static_cast<size_t>(max_item) + 1);
-  for (size_t c = 0; c < sets_.size(); ++c) {
+
+  // Dense ids in ascending item order.
+  dense_item_.assign(any ? static_cast<size_t>(max_item) + 1 : 0, kNoDenseId);
+  for (const auto& set : sets_) {
+    for (const Transaction& q : set) {
+      for (ItemId item : q) dense_item_[item] = 0;
+    }
+  }
+  uint32_t universe = 0;
+  for (uint32_t& id : dense_item_) {
+    if (id != kNoDenseId) id = universe++;
+  }
+  words_ = (static_cast<size_t>(universe) + 63) / 64;
+
+  std::sort(class_size_.begin(), class_size_.end());
+  class_size_.erase(std::unique(class_size_.begin(), class_size_.end()),
+                    class_size_.end());
+  cluster_begin_.assign(1, 0);
+  point_class_.clear();
+  point_class_.reserve(num_points);
+  for (const auto& set : sets_) {
+    for (const Transaction& q : set) {
+      point_class_.push_back(static_cast<uint32_t>(
+          std::lower_bound(class_size_.begin(), class_size_.end(),
+                           static_cast<uint32_t>(q.size())) -
+          class_size_.begin()));
+    }
+    cluster_begin_.push_back(static_cast<uint32_t>(point_class_.size()));
+  }
+
+  // Cost model, per probe: the sweep reads all P·W plane words; ScanCount
+  // walks about q̄·Σ|q|/U′ postings, taking the points' mean size q̄ =
+  // Σ|q|/P as the probe size. Sweep iff P·W ≤ c·Σ|q|²/(P·U′).
+  const double p = static_cast<double>(num_points);
+  const double sum = static_cast<double>(total_items);
+  const double plane_words = p * static_cast<double>(words_);
+  packed_ = universe == 0 || p * plane_words * static_cast<double>(universe) <=
+                                 kSweepWordsPerPosting * sum * sum;
+
+  plane_.clear();
+  cluster_mask_.clear();
+  posting_begin_.clear();
+  postings_.clear();
+  point_cluster_.clear();
+  if (packed_) {
+    plane_.assign(words_ * num_points, 0);
+    cluster_mask_.assign(num_clusters * words_, 0);
+    size_t point = 0;
+    for (size_t c = 0; c < num_clusters; ++c) {
+      uint64_t* mask = cluster_mask_.data() + c * words_;
+      for (const Transaction& q : sets_[c]) {
+        for (ItemId item : q) {
+          const uint32_t bit = dense_item_[item];
+          const uint64_t one = uint64_t{1} << (bit & 63);
+          plane_[(bit >> 6) * num_points + point] |= one;
+          mask[bit >> 6] |= one;
+        }
+        ++point;
+      }
+    }
+    return;
+  }
+
+  // ScanCount postings as CSR over the dense ids. Transactions are
+  // deduplicated, so each posting list gains a point at most once.
+  posting_begin_.assign(static_cast<size_t>(universe) + 1, 0);
+  for (const auto& set : sets_) {
+    for (const Transaction& q : set) {
+      for (ItemId item : q) ++posting_begin_[dense_item_[item] + 1];
+    }
+  }
+  for (size_t i = 1; i < posting_begin_.size(); ++i) {
+    posting_begin_[i] += posting_begin_[i - 1];
+  }
+  postings_.resize(total_items);
+  std::vector<uint32_t> fill(posting_begin_.begin(), posting_begin_.end() - 1);
+  point_cluster_.reserve(num_points);
+  for (size_t c = 0; c < num_clusters; ++c) {
     for (const Transaction& q : sets_[c]) {
       const uint32_t point = static_cast<uint32_t>(point_cluster_.size());
       point_cluster_.push_back(static_cast<uint32_t>(c));
-      point_size_.push_back(static_cast<uint32_t>(q.size()));
-      // Transactions are deduplicated, so each posting list gains this
-      // point at most once.
-      for (ItemId item : q) item_to_points_[item].push_back(point);
+      for (ItemId item : q) postings_[fill[dense_item_[item]]++] = point;
     }
   }
+}
+
+const uint64_t* TransactionLabeler::NeedTable(uint64_t t,
+                                              Scratch* scratch) const {
+  if (scratch->need_index != index_id_ || scratch->need_t != t) {
+    scratch->need.resize(class_size_.size());
+    for (size_t c = 0; c < class_size_.size(); ++c) {
+      scratch->need[c] = LeastPassingIntersection(t, class_size_[c], theta_);
+    }
+    scratch->need_index = index_id_;
+    scratch->need_t = t;
+  }
+  return scratch->need.data();
 }
 
 void TransactionLabeler::AssignStats::Merge(const AssignStats& other) {
@@ -134,35 +238,75 @@ TransactionLabeler::AssignOutcome TransactionLabeler::AssignDetailed(
     const Transaction& tx, Scratch* scratch, AssignStats* stats) const {
   const size_t num_clusters = sets_.size();
   AssignOutcome best;
+  // Clusters are offered in index order and only a strictly higher score
+  // wins, as in AssignUnpruned.
+  auto consider = [&](size_t c, uint32_t neighbors) {
+    if (neighbors == 0) return;
+    const double score = static_cast<double>(neighbors) / normalizers_[c];
+    if (score > best.score) {
+      best.score = score;
+      best.neighbors = neighbors;
+      best.cluster = static_cast<ClusterIndex>(c);
+    }
+  };
 
-  // θ = 0 accepts every pair (Jaccard ≥ 0 always holds), so neither filter
-  // can prune anything; run the full scan.
+  // θ = 0 accepts every pair (Jaccard ≥ 0 always holds), so nothing can be
+  // pruned; run the full scan.
   if (theta_ <= 0.0) {
     for (size_t c = 0; c < num_clusters; ++c) {
-      size_t neighbors = 0;
+      uint32_t neighbors = 0;
       for (const Transaction& q : sets_[c]) {
         if (stats != nullptr) ++stats->similarities_computed;
         if (JaccardSimilarity(tx, q) >= theta_) ++neighbors;
       }
       if (stats != nullptr) ++stats->clusters_scored;
-      if (neighbors == 0) continue;
-      const double score = static_cast<double>(neighbors) / normalizers_[c];
-      if (score > best.score) {
-        best.score = score;
-        best.neighbors = static_cast<uint32_t>(neighbors);
-        best.cluster = static_cast<ClusterIndex>(c);
-      }
+      consider(c, neighbors);
     }
     return best;
   }
 
-  // ScanCount over the inverted index: one pass through the postings of
-  // tx's items accumulates the exact intersection size |T ∩ q| for every
-  // labeling point q sharing an item with T. Points sharing none have
-  // Jaccard 0 and are never visited — for θ > 0 they can't be neighbors.
   Scratch local;
   if (scratch == nullptr) scratch = &local;
-  const size_t num_points = point_cluster_.size();
+  const uint64_t* need = NeedTable(tx.size(), scratch);
+  const size_t num_points = point_class_.size();
+
+  if (packed_) {
+    // Clusters whose item union misses the row share no item with T, so
+    // every point there has Jaccard 0 < θ; the others are swept.
+    scratch->row.assign(words_, 0);
+    uint64_t* row = scratch->row.data();
+    for (ItemId item : tx) {
+      const uint32_t bit = DenseId(item);
+      if (bit != kNoDenseId) row[bit >> 6] |= uint64_t{1} << (bit & 63);
+    }
+    const PointPlane plane{plane_.data(), num_points, words_,
+                           point_class_.data()};
+    for (size_t c = 0; c < num_clusters; ++c) {
+      const uint64_t* mask = cluster_mask_.data() + c * words_;
+      bool shares = false;
+      for (size_t w = 0; w < words_ && !shares; ++w) {
+        shares = (mask[w] & row[w]) != 0;
+      }
+      if (!shares) {
+        if (stats != nullptr) ++stats->clusters_pruned;
+        continue;
+      }
+      const ThresholdSweepCounts counts = ThresholdSweep(
+          plane, cluster_begin_[c], cluster_begin_[c + 1], row, need);
+      if (stats != nullptr) {
+        ++stats->clusters_scored;
+        stats->points_skipped_length += counts.unreachable;
+        stats->similarities_computed +=
+            cluster_begin_[c + 1] - cluster_begin_[c] - counts.unreachable;
+      }
+      consider(c, counts.passed);
+    }
+    return best;
+  }
+
+  // ScanCount: one pass through the postings of tx's items accumulates the
+  // exact |T ∩ q| for every point sharing an item with T. Points sharing
+  // none have Jaccard 0 and are never visited.
   if (scratch->point_stamp.size() != num_points ||
       scratch->cluster_stamp.size() != num_clusters) {
     scratch->point_count.assign(num_points, 0);
@@ -180,8 +324,10 @@ TransactionLabeler::AssignOutcome TransactionLabeler::AssignDetailed(
   const uint32_t epoch = scratch->epoch;
   scratch->touched.clear();
   for (ItemId item : tx) {
-    if (item >= item_to_points_.size()) continue;
-    for (uint32_t p : item_to_points_[item]) {
+    const uint32_t id = DenseId(item);
+    if (id == kNoDenseId) continue;
+    for (uint32_t i = posting_begin_[id]; i < posting_begin_[id + 1]; ++i) {
+      const uint32_t p = postings_[i];
       if (scratch->point_stamp[p] != epoch) {
         scratch->point_stamp[p] = epoch;
         scratch->point_count[p] = 1;
@@ -191,49 +337,29 @@ TransactionLabeler::AssignOutcome TransactionLabeler::AssignDetailed(
       }
     }
   }
-
-  // Resolve each touched point: Jaccard ≤ min/max of the two sizes, so
-  // points failing that bound are skipped before any division; the rest
-  // get the exact similarity from the intersection count. Both the bound
-  // and count/(|T|+|q|−count) divide the same integers JaccardSimilarity
-  // divides, so no true neighbor is dropped and none is invented.
-  const double t_size = static_cast<double>(tx.size());
   for (uint32_t p : scratch->touched) {
     const uint32_t cluster = point_cluster_[p];
     if (scratch->cluster_stamp[cluster] != epoch) {
       scratch->cluster_stamp[cluster] = epoch;
       scratch->cluster_neighbors[cluster] = 0;
     }
-    const double q_size = static_cast<double>(point_size_[p]);
-    const double lo = std::min(t_size, q_size);
-    const double hi = std::max(t_size, q_size);
-    if (lo / hi < theta_) {  // hi > 0: a touched point shares an item
+    const uint64_t threshold = need[point_class_[p]];
+    if (threshold == kUnreachableIntersection) {
       if (stats != nullptr) ++stats->points_skipped_length;
       continue;
     }
     if (stats != nullptr) ++stats->similarities_computed;
-    const uint32_t inter = scratch->point_count[p];
-    const double uni =
-        t_size + q_size - static_cast<double>(inter);
-    if (static_cast<double>(inter) / uni >= theta_) {
+    if (scratch->point_count[p] >= threshold) {
       ++scratch->cluster_neighbors[cluster];
     }
   }
-
   for (size_t c = 0; c < num_clusters; ++c) {
     if (scratch->cluster_stamp[c] != epoch) {
       if (stats != nullptr) ++stats->clusters_pruned;
       continue;
     }
     if (stats != nullptr) ++stats->clusters_scored;
-    const uint32_t neighbors = scratch->cluster_neighbors[c];
-    if (neighbors == 0) continue;
-    const double score = static_cast<double>(neighbors) / normalizers_[c];
-    if (score > best.score) {
-      best.score = score;
-      best.neighbors = neighbors;
-      best.cluster = static_cast<ClusterIndex>(c);
-    }
+    consider(c, scratch->cluster_neighbors[c]);
   }
   return best;
 }

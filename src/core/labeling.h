@@ -54,11 +54,19 @@ class TransactionLabeler {
                                           const RockOptions& rock_options,
                                           const LabelingOptions& options);
 
-  /// Per-thread reusable workspace for Assign. The ScanCount pass marks
-  /// labeling points and clusters through epoch-stamped arrays, so nothing
-  /// is cleared between calls; giving each labeling worker its own Scratch
-  /// makes Assign allocation-free (after warm-up) and thread-safe.
+  /// Per-thread reusable workspace for Assign: the probe's packed row, its
+  /// threshold table need[] (one entry per distinct labeling-point size,
+  /// cached while consecutive probes of one labeler share |T|) and, on the
+  /// ScanCount path, epoch-stamped per-point counts, so nothing is cleared
+  /// between calls. Giving each labeling worker its own Scratch makes
+  /// Assign allocation-free (after warm-up) and thread-safe. One Scratch
+  /// may serve several labelers.
   struct Scratch {
+    std::vector<uint64_t> row;   ///< probe bits over the dense item ids
+    std::vector<uint64_t> need;  ///< least passing |T ∩ q| per size class
+    uint64_t need_index = 0;     ///< index_id_ the table was built for
+    uint64_t need_t = 0;         ///< |T| the table was built for
+    // ScanCount path only:
     std::vector<uint32_t> point_count;        ///< |T ∩ q| per labeling point
     std::vector<uint32_t> point_stamp;        ///< epoch marks for point_count
     std::vector<uint32_t> touched;            ///< points with count > 0
@@ -68,16 +76,21 @@ class TransactionLabeler {
   };
 
   /// Pruning counters accumulated by Assign. Summed per shard and merged in
-  /// shard order by LabelStore, so totals are deterministic.
+  /// shard order by LabelStore, so totals are deterministic. Both counting
+  /// paths (see AssignDetailed) fill them; the point counters differ in
+  /// which points they cover.
   struct AssignStats {
     /// Clusters skipped because they share no item with the transaction.
     uint64_t clusters_pruned = 0;
     /// Clusters whose labeling set was actually scanned.
     uint64_t clusters_scored = 0;
-    /// Item-sharing labeling points skipped by the Jaccard length bound
-    /// min(|T|,|q|)/max(|T|,|q|) < θ without evaluating the similarity.
+    /// Points whose least passing intersection need[|q|] exceeds
+    /// min(|T|,|q|) — the Jaccard length bound min/max < θ. Packed sweep:
+    /// every such point of a scored cluster; ScanCount: item-sharing ones.
     uint64_t points_skipped_length = 0;
-    /// Exact Jaccard evaluations (from ScanCount intersection counts).
+    /// Points whose intersection count was compared with need[|q|]. Packed
+    /// sweep: the remaining points of every scored cluster (popcounted);
+    /// ScanCount: the remaining item-sharing points.
     uint64_t similarities_computed = 0;
 
     /// Adds `other`'s counts into this.
@@ -100,14 +113,20 @@ class TransactionLabeler {
 
   /// As above, with an optional reusable `scratch` (nullptr = internal
   /// temporary) and optional pruning-counter accumulation into `stats`.
-  /// Walks the inverted item index once to accumulate exact intersection
-  /// counts for every labeling point sharing an item with `tx` (ScanCount),
-  /// then derives each touched point's Jaccard from its count in O(1) —
-  /// untouched points have similarity 0 and are never visited, and the
-  /// Jaccard length bound min(|T|,|q|)/max(|T|,|q|) < θ skips the rest
-  /// before the division. Every surviving similarity is the same
-  /// `double(|∩|)/double(|∪|)` JaccardSimilarity computes, so the result
-  /// is bit-identical to AssignUnpruned for every input.
+  /// For θ > 0 one decision rule serves every point: q is a neighbor iff
+  /// |T ∩ q| >= need[|q|], the least intersection whose
+  /// double(k)/double(|T|+|q|−k) reaches θ (LeastPassingIntersection) —
+  /// the same division JaccardSimilarity performs, so the result is
+  /// bit-identical to AssignUnpruned for every input. The intersection
+  /// counts come from one of two paths, chosen once at build time:
+  ///  - packed sweep (narrow universes): `tx` becomes a bit row over the
+  ///    labeling items' dense ids; each cluster whose item-union mask meets
+  ///    the row is swept with a runtime-dispatched AND+popcount kernel
+  ///    (similarity/packed.h ThresholdSweep); the rest are pruned;
+  ///  - ScanCount (wide universes): one walk over the postings of tx's
+  ///    items counts |T ∩ q| for every point sharing an item.
+  /// θ ≤ 0 accepts every pair, so it scans every point with
+  /// JaccardSimilarity.
   ClusterIndex Assign(const Transaction& tx, Scratch* scratch,
                       AssignStats* stats) const;
 
@@ -129,9 +148,13 @@ class TransactionLabeler {
   /// Size of labeling set L_i.
   size_t labeling_set_size(size_t i) const { return sets_[i].size(); }
 
+  /// True when θ > 0 probes are counted by the packed sweep, false when by
+  /// ScanCount (see AssignDetailed); fixed by the index's cost model.
+  bool uses_packed_sweep() const { return packed_; }
+
   /// Reassembles a labeler from already-validated parts: θ, the
   /// normalization exponent f(θ), and the labeling sets L_i. Recomputes the
-  /// normalizers and the inverted index, so a labeler round-tripped through
+  /// normalizers and the counting index, so a labeler round-tripped through
   /// a model bundle (core/model_bundle.h, its only on-disk form) assigns
   /// bit-identically to the original. Rejects non-finite or out-of-range
   /// parameters with InvalidArgument, as LoadModelBundle does with
@@ -153,21 +176,47 @@ class TransactionLabeler {
   TransactionLabeler(double theta, double exponent)
       : theta_(theta), f_exponent_(exponent) {}
 
-  /// Builds the inverted point index from sets_ (called by Build and
-  /// FromParts).
+  /// Builds the item remap and the counting path's index from sets_
+  /// (called by Build and FromParts).
   void BuildIndex();
+
+  /// need[c] for every size class c (class_size_[c] items) and a probe of
+  /// `t` items, cached in `scratch` across probes of the same size.
+  const uint64_t* NeedTable(uint64_t t, Scratch* scratch) const;
+
+  static constexpr uint32_t kNoDenseId = ~uint32_t{0};
+  /// Dense id of `item`, or kNoDenseId when no labeling point holds it.
+  uint32_t DenseId(ItemId item) const {
+    return item < dense_item_.size() ? dense_item_[item] : kNoDenseId;
+  }
 
   double theta_;
   double f_exponent_;  // f(θ), the normalization exponent
   std::vector<std::vector<Transaction>> sets_;  // L_i per cluster
   std::vector<double> normalizers_;             // (|L_i|+1)^{f(θ)}
-  /// Inverted index over all labeling points (flattened across clusters in
-  /// cluster order): item id → point ids containing the item. One pass over
-  /// a probe's postings yields exact |T ∩ q| for every point sharing an
-  /// item; points sharing none have Jaccard 0, never ≥ θ for θ > 0.
-  std::vector<std::vector<uint32_t>> item_to_points_;
-  std::vector<uint32_t> point_cluster_;  ///< point id → owning cluster
-  std::vector<uint32_t> point_size_;     ///< point id → |q|
+  // Labeling points are numbered across clusters in cluster order, so
+  // cluster c owns points [cluster_begin_[c], cluster_begin_[c+1]). Items
+  // that occur in some point get dense ids 0..U′−1 in ascending item order;
+  // items in no point can never raise an intersection.
+  std::vector<uint32_t> dense_item_;     ///< item id → dense id or kNoDenseId
+  std::vector<uint32_t> cluster_begin_;  ///< num_clusters + 1 offsets
+  /// Distinct point sizes, ascending; a point's size class indexes it, so
+  /// need[] grows with the number of distinct sizes, not the largest one.
+  std::vector<uint32_t> class_size_;
+  std::vector<uint32_t> point_class_;  ///< point id → size class
+  /// Distinct per index build (copies share it), so a Scratch's cached
+  /// need[] never crosses to another labeler.
+  uint64_t index_id_ = 0;
+  size_t words_ = 0;     ///< ⌈U′/64⌉
+  bool packed_ = false;  ///< counting path chosen by BuildIndex's cost model
+  /// Packed sweep: point bits word-major (words_ × points) and each
+  /// cluster's item union (num_clusters × words_).
+  std::vector<uint64_t> plane_;
+  std::vector<uint64_t> cluster_mask_;
+  /// ScanCount: dense item → point ids (CSR), and point id → cluster.
+  std::vector<uint32_t> posting_begin_;
+  std::vector<uint32_t> postings_;
+  std::vector<uint32_t> point_cluster_;
 };
 
 /// Result of labeling one on-disk store.

@@ -37,7 +37,8 @@ Result<CategoricalDataset> ReadCsvString(const std::string& text,
           c == static_cast<size_t>(options.label_column)) {
         continue;
       }
-      names.push_back(from_header ? fields[c] : "a" + std::to_string(c));
+      names.push_back(from_header ? fields[c]
+                                  : std::string("a").append(std::to_string(c)));
     }
     dataset = CategoricalDataset{Schema(std::move(names))};
     schema_ready = true;

@@ -35,7 +35,7 @@ Result<CategoricalDataset> TimeSeriesToCategorical(const TimeSeriesSet& set,
   std::vector<std::string> attr_names;
   attr_names.reserve(set.num_dates - 1);
   for (size_t t = 1; t < set.num_dates; ++t) {
-    attr_names.push_back("d" + std::to_string(t));
+    attr_names.push_back(std::string("d").append(std::to_string(t)));
   }
   CategoricalDataset out{Schema(std::move(attr_names))};
 

@@ -6,8 +6,8 @@
 //
 //   Append(rows) → AppendToStore (crash-safe copy-on-append, data layer)
 //               → label each appended row with the live model's §4.6
-//                 ScanCount AssignDetailed — the exact Assign path the
-//                 batch pipeline runs, so incremental labels are
+//                 AssignDetailed (packed label kernel) — the exact Assign
+//                 path the batch pipeline runs, so incremental labels are
 //                 byte-identical to a full relabel of the same model
 //               → feed every outcome to the drift detector (eval/drift.h)
 //               → when drift trips and auto_rebuild is on, kick off a

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <limits>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -80,6 +81,256 @@ bool PackedKernelUsesAvx2() {
 #else
   return false;
 #endif
+}
+
+uint64_t LeastPassingIntersection(uint64_t t, uint64_t s, double theta) {
+  const uint64_t most = std::min(t, s);
+  const double sum = static_cast<double>(t) + static_cast<double>(s);
+  // 0/0 (two empty sets) is NaN and never passes, like JaccardSimilarity's
+  // 0 for an empty union at θ > 0.
+  auto passes = [&](uint64_t k) {
+    const double kd = static_cast<double>(k);
+    return kd / (sum - kd) >= theta;
+  };
+  // Over the reals k/(t+s−k) ≥ θ ⇔ k ≥ θ(t+s)/(1+θ). Rounding moves the
+  // IEEE boundary by at most a step from that estimate; the predicate is
+  // monotone in k, so stepping settles on the exact least k.
+  // `k == most + 1` means none passes.
+  const double estimate = theta * sum / (1.0 + theta);
+  uint64_t k = most + 1;
+  if (!(estimate > 0.0)) {
+    k = 0;
+  } else if (estimate < static_cast<double>(most)) {
+    k = static_cast<uint64_t>(std::ceil(estimate));
+  }
+  while (k > 0 && passes(k - 1)) --k;
+  while (k <= most && !passes(k)) ++k;
+  return k > most ? kUnreachableIntersection : k;
+}
+
+namespace {
+
+// The scalar sweep, inlined into each caller so the POPCNT variant compiles
+// it with its own target.
+[[gnu::always_inline]] inline ThresholdSweepCounts SweepScalarBody(
+    const PointPlane& plane, size_t begin, size_t end, const uint64_t* row,
+    const uint64_t* need) {
+  ThresholdSweepCounts out;
+  for (size_t p = begin; p < end; ++p) {
+    const uint64_t threshold = need[plane.size_class[p]];
+    if (threshold == kUnreachableIntersection) {
+      ++out.unreachable;
+      continue;
+    }
+    uint64_t inter = 0;
+    const uint64_t* word = plane.bits + p;
+    for (size_t w = 0; w < plane.words; ++w, word += plane.stride) {
+      inter += static_cast<uint64_t>(__builtin_popcountll(*word & row[w]));
+    }
+    if (inter >= threshold) ++out.passed;
+  }
+  return out;
+}
+
+ThresholdSweepCounts SweepScalar(const PointPlane& plane, size_t begin,
+                                 size_t end, const uint64_t* row,
+                                 const uint64_t* need) {
+  return SweepScalarBody(plane, begin, end, row, need);
+}
+
+#if ROCK_PACKED_X86
+__attribute__((target("popcnt"))) ThresholdSweepCounts SweepPopcnt(
+    const PointPlane& plane, size_t begin, size_t end, const uint64_t* row,
+    const uint64_t* need) {
+  return SweepScalarBody(plane, begin, end, row, need);
+}
+
+// Four points per step: AND each word row's 4-point block with the probe
+// word, nibble-LUT popcount, psadbw folds the bytes into one count per
+// 64-bit lane = per point. The threshold compare stays scalar.
+__attribute__((target("avx2,popcnt"))) ThresholdSweepCounts SweepAvx2(
+    const PointPlane& plane, size_t begin, size_t end, const uint64_t* row,
+    const uint64_t* need) {
+  const __m256i lut =
+      _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1, 1,
+                       2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
+  const __m256i low_mask = _mm256_set1_epi8(0x0f);
+  const __m256i zero = _mm256_setzero_si256();
+  ThresholdSweepCounts out;
+  size_t p = begin;
+  for (; p + 4 <= end; p += 4) {
+    __m256i count = zero;
+    const uint64_t* word = plane.bits + p;
+    for (size_t w = 0; w < plane.words; ++w, word += plane.stride) {
+      const __m256i v = _mm256_and_si256(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(word)),
+          _mm256_set1_epi64x(static_cast<long long>(row[w])));
+      const __m256i lo = _mm256_and_si256(v, low_mask);
+      const __m256i hi = _mm256_and_si256(_mm256_srli_epi16(v, 4), low_mask);
+      const __m256i bytes = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
+                                            _mm256_shuffle_epi8(lut, hi));
+      count = _mm256_add_epi64(count, _mm256_sad_epu8(bytes, zero));
+    }
+    alignas(32) uint64_t inter[4];
+    _mm256_store_si256(reinterpret_cast<__m256i*>(inter), count);
+    for (size_t i = 0; i < 4; ++i) {
+      const uint64_t threshold = need[plane.size_class[p + i]];
+      if (threshold == kUnreachableIntersection) {
+        ++out.unreachable;
+      } else if (inter[i] >= threshold) {
+        ++out.passed;
+      }
+    }
+  }
+  const ThresholdSweepCounts tail = SweepScalarBody(plane, p, end, row, need);
+  out.passed += tail.passed;
+  out.unreachable += tail.unreachable;
+  return out;
+}
+
+// Eight points per step with VPOPCNTDQ. Full blocks load unmasked; the
+// tail block masks its loads, gather and compares, so no point range needs
+// padding. The gather takes an explicit source operand — the unmasked form
+// trips GCC 12's -Wmaybe-uninitialized. Lane counts accumulate in vectors
+// and are reduced once per call.
+#define ROCK_AVX512_TARGET \
+  __attribute__((target("avx512f,avx512vl,avx512vpopcntdq,popcnt")))
+
+ROCK_AVX512_TARGET [[gnu::always_inline]] inline void SweepAvx512Block(
+    const PointPlane& plane, size_t p, __mmask8 lanes, const uint64_t* row,
+    const uint64_t* need, __m512i* passed, __m512i* dead) {
+  const __m512i never =
+      _mm512_set1_epi64(static_cast<long long>(kUnreachableIntersection));
+  const __m512i one = _mm512_set1_epi64(1);
+  __m512i count = _mm512_setzero_si512();
+  const uint64_t* word = plane.bits + p;
+  for (size_t w = 0; w < plane.words; ++w, word += plane.stride) {
+    count = _mm512_add_epi64(
+        count, _mm512_popcnt_epi64(_mm512_and_si512(
+                   _mm512_maskz_loadu_epi64(lanes, word),
+                   _mm512_set1_epi64(static_cast<long long>(row[w])))));
+  }
+  const __m256i classes =
+      _mm256_maskz_loadu_epi32(lanes, plane.size_class + p);
+  const __m512i threshold =
+      _mm512_mask_i32gather_epi64(never, lanes, classes, need, 8);
+  const __mmask8 unreachable =
+      _mm512_mask_cmpeq_epi64_mask(lanes, threshold, never);
+  const __mmask8 pass = _mm512_mask_cmpge_epu64_mask(
+      static_cast<__mmask8>(lanes & ~unreachable), count, threshold);
+  *passed = _mm512_mask_add_epi64(*passed, pass, *passed, one);
+  *dead = _mm512_mask_add_epi64(*dead, unreachable, *dead, one);
+}
+
+ROCK_AVX512_TARGET ThresholdSweepCounts SweepAvx512(const PointPlane& plane,
+                                                    size_t begin, size_t end,
+                                                    const uint64_t* row,
+                                                    const uint64_t* need) {
+  __m512i passed = _mm512_setzero_si512();
+  __m512i dead = _mm512_setzero_si512();
+  size_t p = begin;
+  for (; p + 8 <= end; p += 8) {
+    SweepAvx512Block(plane, p, static_cast<__mmask8>(0xFF), row, need,
+                     &passed, &dead);
+  }
+  if (p < end) {
+    SweepAvx512Block(plane, p, static_cast<__mmask8>((1u << (end - p)) - 1u),
+                     row, need, &passed, &dead);
+  }
+  // Stored and summed by hand: _mm512_reduce_add_epi64 trips GCC 12's
+  // -Wuninitialized through _mm256_undefined_si256.
+  alignas(64) uint64_t lanes[2][8];
+  _mm512_store_si512(lanes[0], passed);
+  _mm512_store_si512(lanes[1], dead);
+  ThresholdSweepCounts out;
+  for (size_t i = 0; i < 8; ++i) {
+    out.passed += static_cast<uint32_t>(lanes[0][i]);
+    out.unreachable += static_cast<uint32_t>(lanes[1][i]);
+  }
+  return out;
+}
+#undef ROCK_AVX512_TARGET
+#endif  // ROCK_PACKED_X86
+
+using SweepFn = ThresholdSweepCounts (*)(const PointPlane&, size_t, size_t,
+                                         const uint64_t*, const uint64_t*);
+
+SweepFn SweepFor(SweepIsa isa) {
+  switch (isa) {
+#if ROCK_PACKED_X86
+    case SweepIsa::kPopcnt:
+      return &SweepPopcnt;
+    case SweepIsa::kAvx2:
+      return &SweepAvx2;
+    case SweepIsa::kAvx512:
+      return &SweepAvx512;
+#endif
+    default:
+      return &SweepScalar;
+  }
+}
+
+SweepIsa ResolveSweepIsa() {
+#if ROCK_PACKED_X86
+  __builtin_cpu_init();
+#endif
+  for (SweepIsa isa : {SweepIsa::kAvx512, SweepIsa::kAvx2, SweepIsa::kPopcnt}) {
+    if (SweepIsaSupported(isa)) return isa;
+  }
+  return SweepIsa::kScalar;
+}
+
+const SweepIsa g_sweep_isa = ResolveSweepIsa();
+const SweepFn g_sweep = SweepFor(g_sweep_isa);
+
+}  // namespace
+
+bool SweepIsaSupported(SweepIsa isa) {
+  switch (isa) {
+    case SweepIsa::kScalar:
+      return true;
+#if ROCK_PACKED_X86
+    case SweepIsa::kPopcnt:
+      return __builtin_cpu_supports("popcnt");
+    case SweepIsa::kAvx2:
+      return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("popcnt");
+    case SweepIsa::kAvx512:
+      return __builtin_cpu_supports("avx512f") &&
+             __builtin_cpu_supports("avx512vl") &&
+             __builtin_cpu_supports("avx512vpopcntdq") &&
+             __builtin_cpu_supports("popcnt");
+#endif
+    default:
+      return false;
+  }
+}
+
+SweepIsa ActiveSweepIsa() { return g_sweep_isa; }
+
+const char* SweepIsaName(SweepIsa isa) {
+  switch (isa) {
+    case SweepIsa::kPopcnt:
+      return "popcnt";
+    case SweepIsa::kAvx2:
+      return "avx2";
+    case SweepIsa::kAvx512:
+      return "avx512-vpopcntdq";
+    default:
+      return "scalar";
+  }
+}
+
+ThresholdSweepCounts ThresholdSweep(const PointPlane& plane, size_t begin,
+                                    size_t end, const uint64_t* row,
+                                    const uint64_t* need) {
+  return g_sweep(plane, begin, end, row, need);
+}
+
+ThresholdSweepCounts ThresholdSweepWith(SweepIsa isa, const PointPlane& plane,
+                                        size_t begin, size_t end,
+                                        const uint64_t* row,
+                                        const uint64_t* need) {
+  return SweepFor(isa)(plane, begin, end, row, need);
 }
 
 std::unique_ptr<PackedJaccard> PackedJaccard::FromRows(

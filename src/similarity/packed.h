@@ -9,6 +9,11 @@
 // integer counts, so similarity values match the per-pair oracles in
 // similarity/jaccard.h bit for bit.
 //
+// The labeler's threshold sweep (ThresholdSweep) counts, for one probe row,
+// the points of a struct-of-arrays plane whose intersection reaches a
+// per-size threshold table (LeastPassingIntersection), so the §4.6 labeling
+// scan decides Jaccard ≥ θ without a division.
+//
 // Packing is gated by a memory budget: the factories return nullptr instead
 // of allocating an unreasonable plane (dense bitsets over a huge sparse
 // universe), and callers fall back to the scalar path.
@@ -35,6 +40,68 @@ uint64_t IntersectPopcount(const uint64_t* a, const uint64_t* b, size_t words);
 
 /// True iff the AVX2 intersection kernel is active on this machine.
 bool PackedKernelUsesAvx2();
+
+// ------------------------------------------------ threshold sweep (labeling)
+
+/// need[] entry no intersection count reaches: the point cannot pass.
+inline constexpr uint64_t kUnreachableIntersection = uint64_t{1} << 32;
+
+/// Least intersection k ≤ min(t, s) for which a t-item and an s-item set
+/// pass Jaccard ≥ θ, i.e. double(k)/(double(t)+double(s)-double(k)) >= θ —
+/// the operands and the one division JaccardSimilarity evaluates — or
+/// kUnreachableIntersection when no such k exists. k/(t+s−k) rises with k
+/// and IEEE division is monotone in each operand, so `inter >= need`
+/// decides bit-identically to the division for every inter ≤ min(t, s)
+/// (exact for t + s < 2^53). O(1) for θ in (0, 1]: it starts from the real
+/// bound θ(t+s)/(1+θ) and steps to the exact boundary.
+uint64_t LeastPassingIntersection(uint64_t t, uint64_t s, double theta);
+
+/// Struct-of-arrays bit plane over a point set, word-major: word w of
+/// point p is bits[w * stride + p]. Point p's threshold is
+/// need[size_class[p]], where the caller's need[] holds one entry per
+/// distinct point size.
+struct PointPlane {
+  const uint64_t* bits = nullptr;
+  size_t stride = 0;  ///< points per word row
+  size_t words = 0;   ///< words per point
+  const uint32_t* size_class = nullptr;
+};
+
+/// What one sweep over a point range found.
+struct ThresholdSweepCounts {
+  uint32_t passed = 0;       ///< points with |row ∩ p| >= their need
+  uint32_t unreachable = 0;  ///< points whose need is unreachable
+};
+
+/// Sweeps points [begin, end) of `plane` against `row` (plane.words words):
+/// point p passes iff popcount(row AND p) >= need[size_class[p]].
+/// Runtime-dispatched to the widest variant the CPU supports
+/// (ActiveSweepIsa); every variant returns the same counts.
+ThresholdSweepCounts ThresholdSweep(const PointPlane& plane, size_t begin,
+                                    size_t end, const uint64_t* row,
+                                    const uint64_t* need);
+
+/// Instruction-set variants of ThresholdSweep.
+enum class SweepIsa {
+  kScalar,  ///< portable popcount (no POPCNT instruction on x86)
+  kPopcnt,  ///< the scalar loop compiled for the POPCNT instruction
+  kAvx2,    ///< 4 points per step, nibble-LUT popcount
+  kAvx512,  ///< 8 points per step, AVX-512 VPOPCNTDQ, masked tails
+};
+
+/// True iff this CPU can run `isa`'s variant.
+bool SweepIsaSupported(SweepIsa isa);
+/// The variant ThresholdSweep dispatches to on this CPU.
+SweepIsa ActiveSweepIsa();
+/// "scalar", "popcnt", "avx2" or "avx512-vpopcntdq".
+const char* SweepIsaName(SweepIsa isa);
+
+/// ThresholdSweep through one named variant, bypassing the dispatch, so
+/// tests can pin each variant to the others. `isa` must be supported.
+ThresholdSweepCounts ThresholdSweepWith(SweepIsa isa, const PointPlane& plane,
+                                        size_t begin, size_t end,
+                                        const uint64_t* row,
+                                        const uint64_t* need);
 
 /// Bit-packed BatchSimilarity matching one of the three Jaccard oracles.
 class PackedJaccard final : public BatchSimilarity {

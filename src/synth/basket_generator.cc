@@ -128,7 +128,7 @@ Result<TransactionDataset> GenerateBasketData(
   TransactionDataset out;
   // Intern item names up front so ids in transactions match the dictionary.
   for (ItemId item = 0; item < next_item; ++item) {
-    out.items().Intern("i" + std::to_string(item));
+    out.items().Intern(std::string("i").append(std::to_string(item)));
   }
   for (auto& row : rows) {
     out.AddTransaction(std::move(row.tx));

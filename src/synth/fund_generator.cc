@@ -81,7 +81,7 @@ Result<TimeSeriesSet> GenerateFundData(const FundGeneratorOptions& options) {
   auto make_fund = [&](const std::string& group, const std::vector<int>* factor,
                        double fidelity) {
     TimeSeries ts;
-    ts.name = "F" + std::to_string(fund_counter++);
+    ts.name = std::string("F").append(std::to_string(fund_counter++));
     ts.group = group;
     ts.prices.assign(options.num_dates, std::nullopt);
 

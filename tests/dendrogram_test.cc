@@ -149,7 +149,7 @@ TEST(DendrogramTest, NewickShapeAndLeaves) {
   EXPECT_EQ(depth, 0);
   // Every participating point appears exactly once as a leaf token.
   for (size_t p = 0; p < ds.size(); ++p) {
-    const std::string token = "p" + std::to_string(p);
+    const std::string token = std::string("p").append(std::to_string(p));
     size_t count = 0;
     size_t pos = 0;
     while ((pos = newick.find(token, pos)) != std::string::npos) {

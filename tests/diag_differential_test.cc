@@ -420,7 +420,7 @@ class LinkEnginePipelineTest : public ::testing::Test {
                         static_cast<ItemId>(rng.UniformUint64(20)));
       }
       data.AddTransaction(Transaction(std::move(items)));
-      data.labels().Append("g" + std::to_string(group));
+      data.labels().Append(std::string("g").append(std::to_string(group)));
     }
     ASSERT_TRUE(WriteDatasetToStore(data, store_path_).ok());
   }

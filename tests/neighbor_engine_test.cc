@@ -57,7 +57,9 @@ TransactionDataset RandomBaskets(size_t n, uint32_t universe, size_t max_items,
 CategoricalDataset RandomRecords(size_t n, size_t d, uint32_t domain,
                                  uint32_t missing_per_mille, Rng* rng) {
   std::vector<std::string> names;
-  for (size_t a = 0; a < d; ++a) names.push_back("a" + std::to_string(a));
+  for (size_t a = 0; a < d; ++a) {
+    names.push_back(std::string("a").append(std::to_string(a)));
+  }
   CategoricalDataset dataset{Schema(names)};
   for (size_t r = 0; r < n; ++r) {
     std::vector<ValueId> values;

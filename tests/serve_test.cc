@@ -64,7 +64,7 @@ TransactionDataset MakeGroupedDataset(size_t rows, uint64_t seed) {
                       static_cast<ItemId>(rng.UniformUint64(20)));
     }
     data.AddTransaction(Transaction(std::move(items)));
-    data.labels().Append("g" + std::to_string(group));
+    data.labels().Append(std::string("g").append(std::to_string(group)));
   }
   return data;
 }

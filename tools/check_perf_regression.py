@@ -16,7 +16,10 @@ the per-cell metric is the ratio
 and the gate compares the geometric mean of those ratios: current must not
 fall below baseline * (1 - tolerance). Ratios — not absolute seconds — keep
 the gate independent of the machine the baseline was recorded on; the
-geometric mean keeps one noisy cell from dominating.
+geometric mean keeps one noisy cell from dominating. An entry whose params
+carry an `isa` (the label-kernel gate, bench_table6_misclassification) only
+meets the baseline cell recorded with the same kernel ISA, since its ratio
+depends on which popcount kernel the CPU dispatches to.
 
 Defaults match the merge-engine gate (bench_fig5_scalability):
 --engines=parallel,hashed --stage=stage.merge. The neighbor-engine gate
@@ -43,7 +46,9 @@ import sys
 
 
 def load_cells(path, engines, stage):
-    """Maps (n, theta) -> {engine: stage seconds}."""
+    """Maps (n, theta, isa) -> {engine: stage seconds}; isa is None unless
+    the entry names the kernel ISA it ran (bench_table6_misclassification),
+    so a report only meets baseline cells of its own ISA."""
     with open(path) as f:
         report = json.load(f)
     if report.get("version") != 1:
@@ -56,7 +61,7 @@ def load_cells(path, engines, stage):
         seconds = entry.get("timers", {}).get(stage)
         if engine not in engines or seconds is None:
             continue
-        key = (params.get("n"), params.get("theta"))
+        key = (params.get("n"), params.get("theta"), params.get("isa"))
         cells.setdefault(key, {})[engine] = seconds
     return cells
 
@@ -160,15 +165,16 @@ def main(argv):
 
     shared = sorted(set(current) & set(baseline))
     if not shared:
-        print("perf-smoke: no comparable (n, theta) cells between "
+        print("perf-smoke: no comparable (n, theta, isa) cells between "
               f"{paths[0]} and {paths[1]}", file=sys.stderr)
         return 2
 
     print(f"{stage} {old_engine}/{new_engine} speedup")
     print(f"{'cell':<16} {'current':>9} {'baseline':>9}")
     for key in shared:
-        n, theta = key
-        print(f"n={n} θ={theta}   {current[key]:8.2f}x {baseline[key]:8.2f}x")
+        n, theta, isa = key
+        cell = f"n={n} θ={theta}" + (f" {isa}" if isa else "")
+        print(f"{cell:<16} {current[key]:8.2f}x {baseline[key]:8.2f}x")
 
     cur = geomean([current[k] for k in shared])
     base = geomean([baseline[k] for k in shared])

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # tools/perf_smoke.sh — CI's engine perf gates.
 #
-# Six gates, all comparing speedup *ratios* (never absolute seconds, so
+# Seven gates, all comparing speedup *ratios* (never absolute seconds, so
 # the gate holds across machines) against checked-in baselines, failing on
 # a >25% regression of the geometric-mean ratio:
 #
@@ -33,6 +33,16 @@
 #      verified identical); gates on the direct/stream stage.append_label
 #      ratio vs bench/baselines/BENCH_stream_smoke.json, plus an absolute
 #      ≥ 10k rows/s floor on appended-row labeling throughput.
+#   7. label kernel — bench_table6_misclassification at scale 0.25 (the
+#      §4.6 label scan of the whole store, 2000-row sample, by the
+#      AssignUnpruned oracle and by LabelStore's packed sweep on one
+#      thread, assignments verified identical, best of 5); gates on the
+#      unpruned/packed stage.label_scan speedup vs the baseline cell of the
+#      same sweep ISA in bench/baselines/BENCH_label_smoke.json. The ratio
+#      depends on the popcount kernel the CPU dispatches to, so each cell
+#      is recorded on a CPU that runs that kernel; on a CPU whose kernel
+#      has no cell yet the gate warns, skips, and leaves the cell to add in
+#      build/BENCH_label_smoke.merged.json. Runs right after gate 3.
 #
 # Usage: tools/perf_smoke.sh [build-dir]   (default: build)
 #
@@ -45,7 +55,11 @@
 #     cp build/BENCH_serve_smoke.json bench/baselines/BENCH_serve_smoke.json && \
 #     cp build/BENCH_graph_smoke.json bench/baselines/BENCH_graph_smoke.json && \
 #     cp build/BENCH_stream_smoke.json \
-#         bench/baselines/BENCH_stream_smoke.json
+#         bench/baselines/BENCH_stream_smoke.json && \
+#     cp build/BENCH_label_smoke.merged.json \
+#         bench/baselines/BENCH_label_smoke.json
+# (the merged label report keeps the baseline's cells for other sweep ISAs
+# and replaces only this CPU's).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -64,10 +78,12 @@ GRF_BASELINE=bench/baselines/BENCH_graph_smoke.json
 GRF_REPORT="$BUILD_DIR/BENCH_graph_smoke.json"
 STRM_BASELINE=bench/baselines/BENCH_stream_smoke.json
 STRM_REPORT="$BUILD_DIR/BENCH_stream_smoke.json"
+LBL_BASELINE=bench/baselines/BENCH_label_smoke.json
+LBL_REPORT="$BUILD_DIR/BENCH_label_smoke.json"
 
 cmake --build "$BUILD_DIR" -j --target bench_fig5_scalability \
     bench_neighbors_ablation bench_links_ablation bench_serve \
-    bench_graph_scale bench_stream
+    bench_graph_scale bench_stream bench_table6_misclassification
 
 echo "=== perf-smoke: bench_fig5_scalability $SCALE --compare-engines ==="
 ROCK_BENCH_JSON="$REPORT" \
@@ -98,6 +114,40 @@ ROCK_BENCH_JSON="$LNK_REPORT" \
 echo "=== perf-smoke: gate vs $LNK_BASELINE ==="
 python3 tools/check_perf_regression.py "$LNK_REPORT" "$LNK_BASELINE" \
     --engines=packed,hashed --stage=stage.links
+
+# Label kernel (gate 7): the packed sweep against the brute-force oracle
+# over the same store rows (identical assignments checked inside the
+# bench), best of 5 per engine. Runs before gates 4 and 6, whose
+# direct-Assign numerators shrink with this kernel. The report names the
+# sweep ISA; the baseline holds one cell per ISA, each measured on a CPU
+# that dispatches to it.
+echo "=== perf-smoke: bench_table6_misclassification 0.25 --reps=5 ==="
+(cd "$BUILD_DIR" && ROCK_BENCH_JSON=BENCH_label_smoke.json \
+    ./bench/bench_table6_misclassification 0.25 --reps=5)
+
+LBL_ISA=$(python3 - "$LBL_REPORT" "$LBL_BASELINE" \
+    "$BUILD_DIR/BENCH_label_smoke.merged.json" <<'PY'
+import json, sys
+report, baseline, merged = sys.argv[1:4]
+cur = json.load(open(report))
+base = json.load(open(baseline))
+isas = {e["params"].get("isa") for e in cur["entries"]}
+known = any(e["params"].get("isa") in isas for e in base["entries"])
+base["entries"] = [e for e in base["entries"]
+                   if e["params"].get("isa") not in isas] + cur["entries"]
+json.dump(base, open(merged, "w"), indent=2, ensure_ascii=False)
+print(",".join(sorted(isas)) + ("" if known else " (no baseline cell)"))
+PY
+)
+if [[ "$LBL_ISA" == *"(no baseline cell)"* ]]; then
+  echo "::warning::perf-smoke gate 7 skipped: sweep ISA $LBL_ISA in" \
+       "$LBL_BASELINE; add this CPU's cell from" \
+       "$BUILD_DIR/BENCH_label_smoke.merged.json"
+else
+  echo "=== perf-smoke: gate vs $LBL_BASELINE ($LBL_ISA) ==="
+  python3 tools/check_perf_regression.py "$LBL_REPORT" "$LBL_BASELINE" \
+      --engines=packed,unpruned --stage=stage.label_scan
+fi
 
 # Serve loopback: best-of-3 like the other sub-second stages, with an
 # absolute QPS floor on top of the machine-independent ratio gate.
